@@ -10,6 +10,11 @@ An artifact is a human-readable text file:
     # ---
     <one vocabulary entry per line>
 
+After kind and guidance, the header keys are the fields of the trainer
+config dataclass, in declaration order (unigram artifacts add the decode
+``boost`` last), so the dataclass is the one schema for header, loader
+and digest. Every key is required on load.
+
 WordPiece entries are bare pieces (continuations carry the literal "##"
 prefix). Unigram entries are ``piece<TAB>logprob<TAB>protected_flag``
 with ``repr`` floats, so probabilities reload bit-exactly. Everything
@@ -20,8 +25,10 @@ with "# ").
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
+import typing
 import warnings
 
 from .corpus import MorphLexicon
@@ -40,29 +47,33 @@ GUIDANCE_MODES = (
     "morphpretok-contextual",
 )
 PRETOK_MODES = ("morphpretok-acontextual", "morphpretok-contextual")
+CONFIG_CLASSES = {"wordpiece": WpTrainerConfig, "ulm": UlmTrainerConfig}
+
+# header value text of a config field, by field type, and back
+_ENCODE = {int: str, float: repr, bool: lambda v: "1" if v else "0", str | None: lambda v: v or ""}
+_DECODE = {int: int, float: float, bool: {"1": True, "0": False}.__getitem__, str | None: lambda t: t or None}
+
+
+def config_fields(config_class) -> list[tuple[str, type, object]]:
+    """``(name, type, default)`` of each trainer option, in declaration order.
+
+    These are the artifact header keys and the ``train`` CLI options; a
+    field with ``metadata={"option": False}`` is neither.
+    """
+    types = typing.get_type_hints(config_class)
+    return [
+        (f.name, types[f.name], f.default)
+        for f in dataclasses.fields(config_class)
+        if f.metadata.get("option", True)
+    ]
 
 
 def _header_pairs(model) -> list[tuple[str, str]]:
-    cfg = model.config
     pairs = [("kind", model_kind(model)), ("guidance", model.guidance)]
-    if isinstance(model, WordPieceTokenizer):
-        pairs += [
-            ("vocab_size", str(cfg.vocab_size)),
-            ("min_pair_frequency", str(cfg.min_pair_frequency)),
-            ("morph_delimiter", cfg.morph_delimiter or ""),
-        ]
-    else:
-        pairs += [
-            ("vocab_size", str(cfg.vocab_size)),
-            ("shrinking_factor", repr(cfg.shrinking_factor)),
-            ("seed_size", str(cfg.seed_size)),
-            ("max_piece_length", str(cfg.max_piece_length)),
-            ("em_iterations_per_round", str(cfg.em_iterations_per_round)),
-            ("seed_weight", repr(cfg.seed_weight)),
-            ("exact_pruning", "1" if cfg.exact_pruning else "0"),
-            ("morph_delimiter", cfg.morph_delimiter or ""),
-            ("boost", repr(model.vocab.boost)),
-        ]
+    for name, typ, _ in config_fields(type(model.config)):
+        pairs.append((name, _ENCODE[typ](getattr(model.config, name))))
+    if isinstance(model, UlmTokenizer):
+        pairs.append(("boost", repr(model.vocab.boost)))
     return pairs
 
 
@@ -121,49 +132,37 @@ def load_tokenizer(path):
     guidance = header.get("guidance", "baseline")
     if guidance not in GUIDANCE_MODES:
         raise LoaderError(f"{path}: unknown guidance mode {guidance!r}")
-    delimiter = header.get("morph_delimiter") or None
+    if kind not in CONFIG_CLASSES:
+        raise LoaderError(f"{path}: unknown tokenizer kind {kind!r}")
 
     try:
+        config_class = CONFIG_CLASSES[kind]
+        cfg = config_class(
+            **{name: _DECODE[typ](header[name]) for name, typ, _ in config_fields(config_class)}
+        )
         if kind == "wordpiece":
-            cfg = WpTrainerConfig(
-                vocab_size=int(header["vocab_size"]),
-                min_pair_frequency=int(header["min_pair_frequency"]),
-                morph_delimiter=delimiter,
-            )
             return WordPieceTokenizer(WpVocabulary(set(entries)), cfg, guidance)
-        if kind == "ulm":
-            cfg = UlmTrainerConfig(
-                vocab_size=int(header["vocab_size"]),
-                shrinking_factor=float(header["shrinking_factor"]),
-                seed_size=int(header["seed_size"]),
-                max_piece_length=int(header["max_piece_length"]),
-                em_iterations_per_round=int(header["em_iterations_per_round"]),
-                seed_weight=float(header["seed_weight"]),
-                exact_pruning=header.get("exact_pruning") == "1",
-                morph_delimiter=delimiter,
-            )
-            log_probs: dict[str, float] = {}
-            protected = set()
-            for offset, line in enumerate(entries):
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise LoaderError(
-                        f"{path}:{body_start + offset + 1}: expected piece<TAB>logprob<TAB>flag"
-                    )
-                piece, lp, flag = parts
-                log_probs[piece] = float(lp)
-                if flag == "1":
-                    protected.add(piece)
-            total = sum(math.exp(lp) for lp in log_probs.values())
-            if abs(total - 1.0) > 1e-6:
-                raise LoaderError(f"{path}: entry probabilities sum to {total}, expected 1")
-            vocab = UlmVocabulary(log_probs, frozenset(protected), float(header["boost"]))
-            return UlmTokenizer(vocab, cfg, guidance)
+        log_probs: dict[str, float] = {}
+        protected = set()
+        for offset, line in enumerate(entries):
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise LoaderError(
+                    f"{path}:{body_start + offset + 1}: expected piece<TAB>logprob<TAB>flag"
+                )
+            piece, lp, flag = parts
+            log_probs[piece] = float(lp)
+            if flag == "1":
+                protected.add(piece)
+        total = sum(math.exp(lp) for lp in log_probs.values())
+        if abs(total - 1.0) > 1e-6:
+            raise LoaderError(f"{path}: entry probabilities sum to {total}, expected 1")
+        vocab = UlmVocabulary(log_probs, frozenset(protected), float(header["boost"]))
+        return UlmTokenizer(vocab, cfg, guidance)
     except (KeyError, ValueError, OverflowError) as exc:
         if isinstance(exc, LoaderError):
             raise
         raise LoaderError(f"{path}: malformed artifact header or entries ({exc})") from None
-    raise LoaderError(f"{path}: unknown tokenizer kind {kind!r}")
 
 
 def word_encoder(

@@ -19,45 +19,12 @@ from .corpus import (
     load_lexicon,
     load_suffixes,
     load_tagged_corpus,
-    reservoir_indices,
+    sample_sentences,
     unescape_delimiter,
 )
 from .errors import LoaderError
 from .evaluation import normalize_pieces
 from .morphology import load_pos_mapping
-
-PRETOK_MODES = artifacts.PRETOK_MODES
-
-# train options that a config file may set; flags override the file
-TRAIN_OPTION_TYPES = {
-    "vocab_size": int,
-    "min_pair_frequency": int,
-    "shrinking_factor": float,
-    "seed_size": int,
-    "max_piece_length": int,
-    "em_iterations_per_round": int,
-    "seed_weight": float,
-    "morph_delimiter": str,
-    "sample_fraction": float,
-    "seed": int,
-    "lowercase": lambda v: _parse_bool(v),
-    "exact_pruning": lambda v: _parse_bool(v),
-}
-
-TRAIN_DEFAULTS = {
-    "vocab_size": 30000,
-    "min_pair_frequency": 2,
-    "shrinking_factor": 0.75,
-    "seed_size": 1_000_000,
-    "max_piece_length": 16,
-    "em_iterations_per_round": 2,
-    "seed_weight": 0.5,
-    "morph_delimiter": DEFAULT_DELIMITER,
-    "sample_fraction": 1.0,
-    "seed": 0,
-    "lowercase": False,
-    "exact_pruning": False,
-}
 
 
 def _parse_bool(value: str) -> bool:
@@ -67,6 +34,34 @@ def _parse_bool(value: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {value!r}")
+
+
+def _parse_delimiter(value: str) -> str:
+    # "\" escapes the delimiter in text and whitespace separates words
+    if len(value) != 1 or value == "\\" or value.isspace():
+        raise ValueError(
+            f"morph delimiter must be one character other than '\\' and whitespace, got {value!r}"
+        )
+    return value
+
+
+# the train options a trainer config cannot declare: name -> (parser, default).
+# The corpus pass reads all four; `seed` seeds the sentence sampling, and the
+# delimiter reaches the trainer config only with presegmented training data.
+CORPUS_OPTIONS = {
+    "morph_delimiter": (_parse_delimiter, DEFAULT_DELIMITER),
+    "sample_fraction": (float, 1.0),
+    "seed": (int, 0),
+    "lowercase": (_parse_bool, False),
+}
+
+# every train option: each trainer config field, then the corpus options;
+# a flag (--vocab-size 1200) overrides a config file line (vocab_size 1200)
+TRAIN_OPTIONS = {
+    name: (_parse_bool if typ is bool else typ, default)
+    for config_class in artifacts.CONFIG_CLASSES.values()
+    for name, typ, default in artifacts.config_fields(config_class)
+} | CORPUS_OPTIONS
 
 
 def _warn(msg: str) -> None:
@@ -81,6 +76,14 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _parse_option(key: str, text: str, where: str):
+    """Parse one train option's text; `where` locates it in an error."""
+    try:
+        return TRAIN_OPTIONS[key][0](text)
+    except ValueError as exc:
+        raise LoaderError(f"{where}: bad value for {key!r}: {exc}") from None
+
+
 def _load_config_file(path) -> dict:
     values = {}
     with open(path, encoding="utf-8") as fh:
@@ -91,75 +94,76 @@ def _load_config_file(path) -> dict:
             key, _, value = line.partition(" ")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in TRAIN_OPTION_TYPES:
+            if key not in TRAIN_OPTIONS:
                 raise LoaderError(f"{path}:{lineno}: unknown config key {key!r}")
             if not value:
                 raise LoaderError(f"{path}:{lineno}: missing value for {key!r}")
-            try:
-                values[key] = TRAIN_OPTION_TYPES[key](value)
-            except ValueError as exc:
-                raise LoaderError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+            values[key] = _parse_option(key, value, f"{path}:{lineno}")
     return values
 
 
 def _resolve_options(args) -> dict:
+    """Each train option from its flag, else the config file, else its default."""
     file_values = _load_config_file(args.config) if args.config else {}
     resolved = {}
-    for key, default in TRAIN_DEFAULTS.items():
+    for key, (_, default) in TRAIN_OPTIONS.items():
         flag_value = getattr(args, key)
-        if flag_value is not None:
+        if isinstance(flag_value, str):
+            resolved[key] = _parse_option(key, flag_value, _flag(key))
+        elif flag_value is not None:  # a --[no-]switch
             resolved[key] = flag_value
-        elif key in file_values:
-            resolved[key] = file_values[key]
         else:
-            resolved[key] = default
+            resolved[key] = file_values.get(key, default)
     return resolved
 
 
-def _sample(sentences: list, fraction: float, seed: int) -> list:
-    if fraction == 1.0:
-        return sentences
-    keep = reservoir_indices(len(sentences), fraction, seed)
-    return [sentences[i] for i in keep]
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _load_checked_lexicon(path, delimiter: str):
+    """Load a lexicon; warn about skipped rows and fail when none is usable."""
+    lexicon = load_lexicon(path, delimiter)
+    if lexicon.rejected:
+        _warn(f"lexicon: skipped {len(lexicon.rejected)} malformed rows")
+    if not len(lexicon):
+        raise LoaderError(f"{path}: no usable lexicon rows ({len(lexicon.rejected)} malformed)")
+    return lexicon
 
 
 def cmd_train(args) -> int:
     opt = _resolve_options(args)
     guidance = args.guidance
     delimiter = opt["morph_delimiter"]
-    if len(delimiter) != 1:
-        raise ValueError(f"morph delimiter must be a single character, got {delimiter!r}")
 
-    lexicon = load_lexicon(args.lexicon, delimiter) if args.lexicon else None
+    lexicon = _load_checked_lexicon(args.lexicon, delimiter) if args.lexicon else None
     mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping else None
     suffixes = load_suffixes(args.suffixes) if args.suffixes else None
 
-    if guidance in PRETOK_MODES and lexicon is None:
+    if guidance in artifacts.PRETOK_MODES and lexicon is None:
         raise ValueError(f"guidance {guidance!r} requires --lexicon")
     if guidance == "morphseed" and suffixes is None:
         raise ValueError("guidance 'morphseed' requires --suffixes")
     if suffixes is not None and guidance != "morphseed":
         _warn(f"--suffixes is ignored with guidance {guidance!r}")
         suffixes = None
-    if lexicon is not None and lexicon.rejected:
-        _warn(f"lexicon: skipped {len(lexicon.rejected)} malformed rows")
 
     preseg_stats = None
     if guidance == "morphpretok-contextual":
         if not args.tagged_corpus:
             raise ValueError("guidance 'morphpretok-contextual' requires --tagged-corpus")
-        tagged = load_tagged_corpus(args.tagged_corpus, opt["lowercase"], delimiter)
-        tagged.sentences = _sample(tagged.sentences, opt["sample_fraction"], opt["seed"])
+        corpus_path = args.tagged_corpus
+        tagged = load_tagged_corpus(corpus_path, opt["lowercase"], delimiter)
+        tagged = sample_sentences(tagged, opt["sample_fraction"], opt["seed"])
+        n_input_sentences = len(tagged.sentences)
         training = presegment.presegment_contextual(tagged, lexicon, mapping, delimiter)
         preseg_stats = training.stats
-        corpus_path = args.tagged_corpus
-        n_input_sentences = len(tagged.sentences)
     else:
         if not args.corpus:
             raise ValueError("--corpus is required")
-        corpus = load_corpus(args.corpus, opt["lowercase"], delimiter)
-        corpus.sentences = _sample(corpus.sentences, opt["sample_fraction"], opt["seed"])
         corpus_path = args.corpus
+        corpus = load_corpus(corpus_path, opt["lowercase"], delimiter)
+        corpus = sample_sentences(corpus, opt["sample_fraction"], opt["seed"])
         n_input_sentences = len(corpus.sentences)
         if guidance == "morphpretok-acontextual":
             training = presegment.presegment_acontextual(corpus, lexicon, delimiter)
@@ -167,29 +171,15 @@ def cmd_train(args) -> int:
         else:
             training = corpus
 
-    seed_tuple = tuple(suffixes) if suffixes else None
-    train_delim = delimiter if guidance in PRETOK_MODES else None
+    config_class = artifacts.CONFIG_CLASSES[args.algorithm]
+    options = {name: opt[name] for name, _, _ in artifacts.config_fields(config_class)}
+    # only presegmented training data carries delimiters
+    options["morph_delimiter"] = delimiter if guidance in artifacts.PRETOK_MODES else None
+    cfg = config_class(**options, seed_suffixes=tuple(suffixes) if suffixes else None)
     if args.algorithm == "wordpiece":
-        cfg = wordpiece.WpTrainerConfig(
-            vocab_size=opt["vocab_size"],
-            min_pair_frequency=opt["min_pair_frequency"],
-            seed_suffixes=seed_tuple,
-            morph_delimiter=train_delim,
-        )
         vocab = wordpiece.wp_train(training, cfg)
         model = wordpiece.WordPieceTokenizer(vocab, cfg, guidance)
     else:
-        cfg = ulm.UlmTrainerConfig(
-            vocab_size=opt["vocab_size"],
-            shrinking_factor=opt["shrinking_factor"],
-            seed_size=opt["seed_size"],
-            max_piece_length=opt["max_piece_length"],
-            em_iterations_per_round=opt["em_iterations_per_round"],
-            seed_suffixes=seed_tuple,
-            seed_weight=opt["seed_weight"],
-            morph_delimiter=train_delim,
-            exact_pruning=opt["exact_pruning"],
-        )
         vocab = ulm.ulm_train(training, cfg)
         model = ulm.UlmTokenizer(vocab, cfg, guidance)
 
@@ -207,7 +197,7 @@ def cmd_train(args) -> int:
         f"words {training.n_words}",
         f"vocab_entries {len(vocab)}",
     ]
-    for key in sorted(TRAIN_DEFAULTS):
+    for key in sorted(TRAIN_OPTIONS):
         lines.append(f"option_{key} {opt[key]}")
     if args.lexicon:
         lines.append(f"lexicon {args.lexicon}")
@@ -226,9 +216,8 @@ def cmd_train(args) -> int:
 
 def cmd_presegment(args) -> int:
     delimiter = args.morph_delimiter or DEFAULT_DELIMITER
-    lexicon = load_lexicon(args.lexicon, delimiter)
-    if lexicon.rejected:
-        _warn(f"lexicon: skipped {len(lexicon.rejected)} malformed rows")
+    delimiter = _parse_option("morph_delimiter", delimiter, "--morph-delimiter")
+    lexicon = _load_checked_lexicon(args.lexicon, delimiter)
     mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping else None
     if args.mode == "contextual":
         if not args.tagged_corpus:
@@ -364,18 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", help="flat key/value config file; flags override it")
     p_train.add_argument("--output", required=True, help="artifact path to write")
     p_train.add_argument("--manifest", help="run manifest path (default: <output>.manifest)")
-    p_train.add_argument("--vocab-size", type=int, default=None)
-    p_train.add_argument("--min-pair-frequency", type=int, default=None)
-    p_train.add_argument("--shrinking-factor", type=float, default=None)
-    p_train.add_argument("--seed-size", type=int, default=None)
-    p_train.add_argument("--max-piece-length", type=int, default=None)
-    p_train.add_argument("--em-iterations-per-round", type=int, default=None)
-    p_train.add_argument("--seed-weight", type=float, default=None)
-    p_train.add_argument("--morph-delimiter", default=None)
-    p_train.add_argument("--sample-fraction", type=float, default=None)
-    p_train.add_argument("--seed", type=int, default=None, help="random seed for corpus sampling")
-    p_train.add_argument("--lowercase", action=argparse.BooleanOptionalAction, default=None)
-    p_train.add_argument("--exact-pruning", action=argparse.BooleanOptionalAction, default=None)
+    for key, (parse, default) in TRAIN_OPTIONS.items():
+        # values are parsed with the config file's, so errors read alike
+        action = argparse.BooleanOptionalAction if parse is _parse_bool else "store"
+        p_train.add_argument(_flag(key), action=action, default=None, help=f"default: {default}")
     p_train.set_defaults(func=cmd_train)
 
     p_preseg = sub.add_parser("presegment", help="write a morpheme-delimited corpus")

@@ -18,6 +18,7 @@ from an escape and is not supported.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -315,9 +316,13 @@ def reservoir_indices(n: int, fraction: float, seed: int) -> list[int]:
     return sorted(reservoir)
 
 
-def sample_sentences(corpus: Corpus, fraction: float, seed: int) -> Corpus:
-    """Reservoir-sample a fraction of sentences, preserving corpus order."""
+def sample_sentences(corpus, fraction: float, seed: int):
+    """Reservoir-sample a fraction of sentences, preserving corpus order.
+
+    Returns a corpus of the type given (:class:`Corpus` or
+    :class:`TaggedCorpus`); fraction = 1 returns `corpus` itself.
+    """
     if fraction == 1:
         return corpus
     keep = reservoir_indices(len(corpus.sentences), fraction, seed)
-    return Corpus([corpus.sentences[i] for i in keep])
+    return dataclasses.replace(corpus, sentences=[corpus.sentences[i] for i in keep])

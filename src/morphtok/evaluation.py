@@ -16,10 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import CONTINUATION_PREFIX, UNK_TOKEN, GoldItem, GoldSegmentationSet, MorphLexicon
-from .morphology import acontextual_choice, disambiguate
-
-ACONTEXTUAL = "acontextual"
-CONTEXTUAL = "contextual"
+from .presegment import ACONTEXTUAL, CONTEXTUAL, choose_morphemes
 
 
 def normalize_pieces(pieces) -> list[str]:
@@ -43,18 +40,36 @@ def boundaries(pieces) -> set[int]:
     return cuts
 
 
-def _check_same_word(pred_norm, gold_norm):
+def _normalized_pair(pred, gold):
+    pred_norm, gold_norm = normalize_pieces(pred), normalize_pieces(gold)
     if "".join(pred_norm) != "".join(gold_norm):
         raise ValueError(
             f"segmentations cover different words: {''.join(pred_norm)!r} vs {''.join(gold_norm)!r}"
         )
+    return pred_norm, gold_norm
+
+
+def _word_tallies(pred_norm, gold_norm, piece_overlap: bool = False):
+    """Integer tallies of one word, both segmentations already normalized:
+    ``(exact-match hit, intersection, predicted count, gold count,
+    MorphScore hit, MorphScore scored)``. The counts are of internal
+    boundaries, or of pieces with `piece_overlap`."""
+    pred_cuts = boundaries(pred_norm)
+    if piece_overlap:
+        inter = sum((Counter(pred_norm) & Counter(gold_norm)).values())
+        n_pred, n_gold = len(pred_norm), len(gold_norm)
+    else:
+        gold_cuts = boundaries(gold_norm)
+        inter, n_pred, n_gold = len(pred_cuts & gold_cuts), len(pred_cuts), len(gold_cuts)
+    cut = designated_boundary(gold_norm)
+    scored = cut is not None and len(pred_norm) > 1
+    hit = scored and cut in pred_cuts
+    return int(pred_norm == gold_norm), inter, n_pred, n_gold, int(hit), int(scored)
 
 
 def exact_match(pred, gold) -> int:
     """1 if both segmentations are identical after marker stripping, else 0."""
-    pred_norm, gold_norm = normalize_pieces(pred), normalize_pieces(gold)
-    _check_same_word(pred_norm, gold_norm)
-    return int(pred_norm == gold_norm)
+    return _word_tallies(*_normalized_pair(pred, gold))[0]
 
 
 def _prf(inter: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
@@ -72,18 +87,12 @@ def boundary_prf(pred, gold) -> tuple[float, float, float]:
     An unsegmented prediction scores precision 1 only against an
     unsegmented gold; swapping the arguments swaps precision and recall.
     """
-    pred_norm, gold_norm = normalize_pieces(pred), normalize_pieces(gold)
-    _check_same_word(pred_norm, gold_norm)
-    pb, gb = boundaries(pred_norm), boundaries(gold_norm)
-    return _prf(len(pb & gb), len(pb), len(gb))
+    return _prf(*_word_tallies(*_normalized_pair(pred, gold))[1:4])
 
 
 def piece_overlap_prf(pred, gold) -> tuple[float, float, float]:
     """Multiset piece-overlap precision/recall/F1 (position-blind variant)."""
-    pred_norm, gold_norm = normalize_pieces(pred), normalize_pieces(gold)
-    _check_same_word(pred_norm, gold_norm)
-    inter = sum((Counter(pred_norm) & Counter(gold_norm)).values())
-    return _prf(inter, len(pred_norm), len(gold_norm))
+    return _prf(*_word_tallies(*_normalized_pair(pred, gold), piece_overlap=True)[1:4])
 
 
 def fertility(segmentations) -> float:
@@ -103,12 +112,12 @@ def morphscore(pred, gold_boundary: int):
     boundaries, 0 if not, None when the prediction is a single piece
     (unsegmented predictions are excluded from this metric)."""
     pred_norm = normalize_pieces(pred)
-    word_len = sum(len(p) for p in pred_norm)
-    if not 1 <= gold_boundary <= word_len - 1:
-        raise ValueError(f"gold boundary {gold_boundary} out of range for word length {word_len}")
-    if len(pred_norm) == 1:
-        return None
-    return int(gold_boundary in boundaries(pred_norm))
+    word = "".join(pred_norm)
+    if not 1 <= gold_boundary <= len(word) - 1:
+        raise ValueError(f"gold boundary {gold_boundary} out of range for word length {len(word)}")
+    gold_norm = [word[:gold_boundary], word[gold_boundary:]]
+    *_, hit, scored = _word_tallies(pred_norm, gold_norm)
+    return hit if scored else None
 
 
 def designated_boundary(gold_pieces) -> int | None:
@@ -173,18 +182,12 @@ def evaluate(
                 f"contextual evaluation requires POS tags; {len(missing)} items lack one ({shown})"
             )
 
-    em_sum = 0
-    inter_sum = 0
-    pred_sum = 0
-    gold_sum = 0
+    em_sum = inter_sum = pred_sum = gold_sum = ms_hits = ms_scored = 0
     pieces_total = 0
     gold_pieces_total = 0
-    ms_hits = 0
-    ms_scored = 0
-
     for item in gold_set.items:
         pred = encoder(item.word, item.pos if mode == CONTEXTUAL else None)
-        gold_norm = normalize_pieces(list(item.pieces))
+        gold_norm = normalize_pieces(item.pieces)
         if pred == [unk_token]:
             pred_norm = [item.word]
         else:
@@ -193,24 +196,15 @@ def evaluate(
                 raise ValueError(
                     f"encoder output {pred!r} does not reconstruct word {item.word!r}"
                 )
-        em_sum += int(pred_norm == gold_norm)
+        em, inter, n_pred, n_gold, hit, scored = _word_tallies(pred_norm, gold_norm, piece_overlap)
+        em_sum += em
+        inter_sum += inter
+        pred_sum += n_pred
+        gold_sum += n_gold
+        ms_hits += hit
+        ms_scored += scored
         pieces_total += len(pred_norm)
         gold_pieces_total += len(gold_norm)
-
-        if piece_overlap:
-            inter_sum += sum((Counter(pred_norm) & Counter(gold_norm)).values())
-            pred_sum += len(pred_norm)
-            gold_sum += len(gold_norm)
-        else:
-            pb, gb = boundaries(pred_norm), boundaries(gold_norm)
-            inter_sum += len(pb & gb)
-            pred_sum += len(pb)
-            gold_sum += len(gb)
-
-        cut = designated_boundary(gold_norm)
-        if cut is not None and len(pred_norm) > 1:
-            ms_scored += 1
-            ms_hits += int(cut in boundaries(pred_norm))
 
     n = len(gold_set.items)
     precision, recall, f1 = _prf(inter_sum, pred_sum, gold_sum)
@@ -251,14 +245,10 @@ def build_gold_set(
         if not analyses:
             gold.rejected.append(f"{word}: not in lexicon")
             continue
-        if contextual:
-            if pos is None:
-                raise ValueError(f"contextual gold requires a POS tag for {word!r}")
-            outcome = disambiguate(word, analyses, pos, mapping)
-            pieces = outcome.chosen if outcome.chosen else (word,)
-            gold.items.append(GoldItem(word, pos, tuple(pieces)))
-        else:
-            gold.items.append(GoldItem(word, None, tuple(acontextual_choice(analyses))))
+        if contextual and pos is None:
+            raise ValueError(f"contextual gold requires a POS tag for {word!r}")
+        tag = pos if contextual else None
+        gold.items.append(GoldItem(word, tag, choose_morphemes(word, analyses, tag, mapping)))
     return gold
 
 

@@ -133,10 +133,21 @@ def presegment_word(
     analyses = lexicon.analyses(word)
     if not analyses:
         return word
+    return delimiter.join(choose_morphemes(word, analyses, pos, mapping))
+
+
+def choose_morphemes(
+    word: str,
+    analyses,
+    pos: str | None = None,
+    mapping: dict[str, tuple[str, ...]] | None = None,
+) -> tuple[str, ...]:
+    """The morphemes of a word with lexicon analyses: the contextual
+    protocol with a POS tag (``(word,)`` when no analysis matches it),
+    the first analysis without one."""
     if pos is not None:
-        outcome = disambiguate(word, analyses, pos, mapping)
-        return delimiter.join(outcome.chosen) if outcome.chosen else word
-    return delimiter.join(acontextual_choice(analyses))
+        return disambiguate(word, analyses, pos, mapping).chosen or (word,)
+    return acontextual_choice(analyses)
 
 
 def strip_delimiters(preseg: PresegmentedCorpus) -> Corpus:

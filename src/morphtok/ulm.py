@@ -30,15 +30,18 @@ NEG_INF = float("-inf")
 
 @dataclass
 class UlmTrainerConfig:
+    """Trainer options; the field order is the artifact header order, as for
+    :class:`morphtok.wordpiece.WpTrainerConfig`."""
+
     vocab_size: int = 30000
     shrinking_factor: float = 0.75
     seed_size: int = 1_000_000
     max_piece_length: int = 16
     em_iterations_per_round: int = 2
-    seed_suffixes: tuple[str, ...] | None = None
+    seed_suffixes: tuple[str, ...] | None = field(default=None, metadata={"option": False})
     seed_weight: float = 0.5
-    morph_delimiter: str | None = None
     exact_pruning: bool = False
+    morph_delimiter: str | None = None
 
 
 @dataclass

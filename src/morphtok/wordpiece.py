@@ -27,9 +27,13 @@ from .corpus import CONTINUATION_PREFIX, UNK_TOKEN, Corpus, split_on_delimiter
 
 @dataclass
 class WpTrainerConfig:
+    """Trainer options. Each field is a ``train`` CLI option and an artifact
+    header key, in this order (see :func:`morphtok.artifacts.config_fields`);
+    ``option: False`` marks the one input that comes from a file instead."""
+
     vocab_size: int = 30000
     min_pair_frequency: int = 2
-    seed_suffixes: tuple[str, ...] | None = None
+    seed_suffixes: tuple[str, ...] | None = field(default=None, metadata={"option": False})
     morph_delimiter: str | None = None
 
 

@@ -152,12 +152,20 @@ class TestValidation:
 
     def test_missing_config_key_rejected(self, tmp_path):
         path = tmp_path / "a.tok"
-        path.write_text(
-            "# morphtok tokenizer v1\n# kind wordpiece\n# guidance baseline\n# ---\na\n",
-            encoding="utf-8",
+        save_tokenizer(ulm_model(), path)
+        lacks_exact_pruning = "".join(
+            line
+            for line in path.read_text(encoding="utf-8").splitlines(keepends=True)
+            if not line.startswith("# exact_pruning ")
         )
-        with pytest.raises(LoaderError, match="malformed"):
-            load_tokenizer(path)
+        # every config field is a required header key
+        for text in (
+            "# morphtok tokenizer v1\n# kind wordpiece\n# guidance baseline\n# ---\na\n",
+            lacks_exact_pruning,
+        ):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(LoaderError, match="malformed"):
+                load_tokenizer(path)
 
 
 class TestDigest:

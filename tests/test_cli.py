@@ -169,6 +169,31 @@ class TestTrain:
         code = cli.main(train_args(files, out) + ["--morph-delimiter", "@@"])
         assert code == 2
 
+    @pytest.mark.parametrize("delimiter", ["\\", " ", "\t"])
+    def test_escape_or_space_delimiter_rejected(self, files, capsys, delimiter):
+        # "\" escapes the delimiter in raw text; whitespace splits words
+        out = str(files["dir"] / "wp.tok")
+        guidance = "morphpretok-acontextual"
+        code = cli.main(train_args(files, out, "wordpiece", guidance, "--morph-delimiter", delimiter))
+        assert code == 2
+        assert "--morph-delimiter: bad value for 'morph_delimiter'" in capsys.readouterr().err
+        cfg = files["dir"] / "train.cfg"
+        cfg.write_text(f"morph_delimiter {delimiter}\n", encoding="utf-8")
+        code = cli.main(train_args(files, out, "wordpiece", guidance, "--config", str(cfg)))
+        assert code == 2
+        assert f"{cfg}:1: " in capsys.readouterr().err  # a bad value, or none once stripped
+        assert not (files["dir"] / "wp.tok").exists()
+
+    def test_lexicon_without_usable_rows_is_input_error(self, files, capsys):
+        lexicon = files["dir"] / "broken.tsv"
+        lexicon.write_text(LEXICON.replace("\t1\t", "\t"), encoding="utf-8")
+        out = str(files["dir"] / "wp.tok")
+        args = train_args(files, out, "wordpiece", "morphpretok-acontextual")
+        args[args.index(files["lexicon"])] = str(lexicon)
+        assert cli.main(args) == 2
+        assert "no usable lexicon rows (5 malformed)" in capsys.readouterr().err
+        assert not (files["dir"] / "wp.tok").exists()
+
 
 class TestPresegment:
     def test_acontextual_writes_delimited_corpus(self, files):
@@ -188,6 +213,15 @@ class TestPresegment:
              "--lexicon", files["lexicon"], "--output", str(files["dir"] / "x.txt")]
         )
         assert code == 2
+
+    def test_escape_delimiter_rejected(self, files, capsys):
+        code = cli.main(
+            ["presegment", "--mode", "acontextual", "--corpus", files["corpus"],
+             "--lexicon", files["lexicon"], "--morph-delimiter", "\\",
+             "--output", str(files["dir"] / "x.txt")]
+        )
+        assert code == 2
+        assert "--morph-delimiter: bad value" in capsys.readouterr().err
 
     def test_contextual(self, files):
         out = files["dir"] / "preseg.txt"
