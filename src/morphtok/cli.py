@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 
 from . import artifacts, evaluation, presegment, ulm, wordpiece
@@ -122,12 +123,22 @@ def _flag(key: str) -> str:
 
 
 def _load_checked_lexicon(path, delimiter: str):
-    """Load a lexicon; warn about skipped rows and fail when none is usable."""
+    """Load a lexicon; fail when no row is usable or the malformed rows
+    outnumber the usable ones (as with a wrong delimiter), else warn about
+    any skipped rows."""
     lexicon = load_lexicon(path, delimiter)
-    if lexicon.rejected:
-        _warn(f"lexicon: skipped {len(lexicon.rejected)} malformed rows")
+    rejected = lexicon.rejected
     if not len(lexicon):
-        raise LoaderError(f"{path}: no usable lexicon rows ({len(lexicon.rejected)} malformed)")
+        raise LoaderError(f"{path}: no usable lexicon rows ({len(rejected)} malformed)")
+    usable = sum(len(analyses) for analyses in lexicon.entries.values())
+    if len(rejected) > usable:
+        raise LoaderError(
+            f"{path}: {len(rejected)} of {len(rejected) + usable} lexicon rows are malformed, "
+            f"the first at {rejected[0]}; does --morph-delimiter {delimiter!r} "
+            "match the lexicon's segmentations?"
+        )
+    if rejected:
+        _warn(f"lexicon: skipped {len(rejected)} malformed rows")
     return lexicon
 
 
@@ -183,6 +194,8 @@ def cmd_train(args) -> int:
         vocab = ulm.ulm_train(training, cfg)
         model = ulm.UlmTokenizer(vocab, cfg, guidance)
 
+    if len(vocab) < cfg.vocab_size:
+        _warn(f"vocabulary has {len(vocab)} entries, fewer than the {cfg.vocab_size} asked for")
     artifacts.save_tokenizer(model, args.output)
 
     manifest_path = args.manifest or f"{args.output}.manifest"
@@ -245,6 +258,21 @@ def cmd_presegment(args) -> int:
     return 0
 
 
+# the most distinct (word, tag) inputs whose output text `encode` keeps; once
+# full, the memo takes no more, so memory stays bounded on endless input
+ENCODE_MEMO_CAP = 1 << 16
+
+
+def _stdin_sentences(lowercase: bool, delimiter: str):
+    """Sentences of (word, None) from stdin, read one line at a time."""
+    for line in sys.stdin:
+        words = line.split()
+        if words:
+            if lowercase:
+                words = [w.lower() for w in words]
+            yield [(escape_delimiter(w, delimiter), None) for w in words]
+
+
 def cmd_encode(args) -> int:
     model = artifacts.load_tokenizer(args.artifact)
     lexicon = None
@@ -254,37 +282,38 @@ def cmd_encode(args) -> int:
     encoder = artifacts.word_encoder(model, lexicon, mapping, on_warning=_warn)
 
     delimiter = model.config.morph_delimiter or DEFAULT_DELIMITER
+    streaming = args.input == "-" and not args.tagged
     if args.tagged:
         tagged = load_tagged_corpus(args.input, args.lowercase, delimiter)
         sentences = tagged.sentences
-    elif args.input == "-":
-        sentences = []
-        for line in sys.stdin:
-            words = line.split()
-            if words:
-                if args.lowercase:
-                    words = [w.lower() for w in words]
-                sentences.append([(escape_delimiter(w, delimiter), None) for w in words])
+    elif streaming:
+        sentences = _stdin_sentences(args.lowercase, delimiter)
     else:
         corpus = load_corpus(args.input, args.lowercase, delimiter)
-        sentences = [[(w, None) for w in s] for s in corpus.sentences]
+        sentences = ([(w, None) for w in s] for s in corpus.sentences)
 
+    # a word's output text depends only on (word, tag); every word yields at
+    # least one piece, so a line is its words' texts joined with spaces
+    memo: dict[tuple[str, str | None], str] = {}
+
+    def render(token) -> str:
+        text = memo.get(token)
+        if text is None:
+            pieces = encoder(*token)
+            if args.strip_markers:
+                pieces = ["".join(normalize_pieces(pieces))]
+            text = " ".join(unescape_delimiter(p, delimiter) for p in pieces)
+            if len(memo) < ENCODE_MEMO_CAP:
+                memo[token] = text
+        return text
+
+    separator = "\n" if args.granularity == "word" else " "
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="\n")
     try:
         for sentence in sentences:
-            per_word = []
-            for word, pos in sentence:
-                pieces = encoder(word, pos)
-                if args.strip_markers:
-                    text = unescape_delimiter("".join(normalize_pieces(pieces)), delimiter)
-                    per_word.append([text])
-                else:
-                    per_word.append([unescape_delimiter(p, delimiter) for p in pieces])
-            if args.granularity == "word":
-                for pieces in per_word:
-                    out.write(" ".join(pieces) + "\n")
-            else:
-                out.write(" ".join(p for pieces in per_word for p in pieces) + "\n")
+            out.write(separator.join([render(token) for token in sentence]) + "\n")
+            if streaming:
+                out.flush()
     finally:
         if out is not sys.stdout:
             out.close()
@@ -401,7 +430,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`encode | head -1`): stop quietly, with
+        # stdout on devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (LoaderError, FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

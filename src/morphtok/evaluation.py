@@ -248,7 +248,8 @@ def build_gold_set(
         if contextual and pos is None:
             raise ValueError(f"contextual gold requires a POS tag for {word!r}")
         tag = pos if contextual else None
-        gold.items.append(GoldItem(word, tag, choose_morphemes(word, analyses, tag, mapping)))
+        morphemes, _ = choose_morphemes(word, analyses, tag, mapping)
+        gold.items.append(GoldItem(word, tag, morphemes))
     return gold
 
 

@@ -66,26 +66,60 @@ def _classify_acontextual(analyses) -> str:
     return DisambiguationRule.SINGLE_ANALYSIS.value if len(distinct) == 1 else FIRST_ANALYSIS
 
 
+def choose_morphemes(
+    word: str,
+    analyses,
+    pos: str | None = None,
+    mapping: dict[str, tuple[str, ...]] | None = None,
+) -> tuple[tuple[str, ...], DisambiguationRule | None]:
+    """The morphemes of a word with lexicon analyses, and the rule that chose
+    them: the contextual protocol with a POS tag (``(word,)`` when no
+    analysis matches it), the first analysis, with rule None, without one."""
+    if pos is not None:
+        outcome = disambiguate(word, analyses, pos, mapping)
+        return outcome.chosen or (word,), outcome.rule
+    return acontextual_choice(analyses), None
+
+
+def _presegment(word: str, lexicon: MorphLexicon, pos, mapping, delimiter: str):
+    """``(presegmented word, analyses, rule)`` of one word, as
+    :func:`choose_morphemes` picks it; a word without analyses comes back
+    unchanged."""
+    analyses = lexicon.analyses(word)
+    if not analyses:
+        return word, analyses, None
+    morphemes, rule = choose_morphemes(word, analyses, pos, mapping)
+    return delimiter.join(morphemes), analyses, rule
+
+
+def _presegment_tokens(sentences, presegment_token, mode: str, delimiter: str) -> PresegmentedCorpus:
+    """Presegment every token of `sentences`, calling `presegment_token`
+    (which returns a :func:`_presegment` result) once per distinct token;
+    the stats still count every token."""
+    counts = Counter(token for sentence in sentences for token in sentence)
+    chosen = {token: presegment_token(token) for token in counts}
+    stats = PresegStats(total_words=sum(counts.values()))
+    for token, n in counts.items():
+        _, analyses, rule = chosen[token]
+        if not analyses:
+            stats.out_of_lexicon += n
+            continue
+        stats.analyses_seen += n * len(analyses)
+        stats.rule_counts[rule.value if rule else _classify_acontextual(analyses)] += n
+    out = [[chosen[token][0] for token in sentence] for sentence in sentences]
+    return PresegmentedCorpus(out, mode=mode, delimiter=delimiter, stats=stats)
+
+
 def presegment_acontextual(
     corpus: Corpus, lexicon: MorphLexicon, delimiter: str = DEFAULT_DELIMITER
 ) -> PresegmentedCorpus:
     """Replace every in-lexicon word with its first analysis, delimiter-joined."""
-    stats = PresegStats()
-    sentences = []
-    for sentence in corpus.sentences:
-        out = []
-        for word in sentence:
-            stats.total_words += 1
-            analyses = lexicon.analyses(word)
-            if not analyses:
-                stats.out_of_lexicon += 1
-                out.append(word)
-                continue
-            stats.analyses_seen += len(analyses)
-            stats.rule_counts[_classify_acontextual(analyses)] += 1
-            out.append(delimiter.join(acontextual_choice(analyses)))
-        sentences.append(out)
-    return PresegmentedCorpus(sentences, mode=ACONTEXTUAL, delimiter=delimiter, stats=stats)
+    return _presegment_tokens(
+        corpus.sentences,
+        lambda word: _presegment(word, lexicon, None, None, delimiter),
+        ACONTEXTUAL,
+        delimiter,
+    )
 
 
 def presegment_contextual(
@@ -99,23 +133,12 @@ def presegment_contextual(
     Words whose analyses all mismatch the context tag stay unsegmented,
     per the disambiguation protocol.
     """
-    stats = PresegStats()
-    sentences = []
-    for sentence in tagged.sentences:
-        out = []
-        for word, tag in sentence:
-            stats.total_words += 1
-            analyses = lexicon.analyses(word)
-            if not analyses:
-                stats.out_of_lexicon += 1
-                out.append(word)
-                continue
-            stats.analyses_seen += len(analyses)
-            outcome = disambiguate(word, analyses, tag, mapping)
-            stats.rule_counts[outcome.rule.value] += 1
-            out.append(delimiter.join(outcome.chosen) if outcome.chosen else word)
-        sentences.append(out)
-    return PresegmentedCorpus(sentences, mode=CONTEXTUAL, delimiter=delimiter, stats=stats)
+    return _presegment_tokens(
+        tagged.sentences,
+        lambda token: _presegment(token[0], lexicon, token[1], mapping, delimiter),
+        CONTEXTUAL,
+        delimiter,
+    )
 
 
 def presegment_word(
@@ -130,24 +153,7 @@ def presegment_word(
     With a POS tag the contextual protocol applies; without one the
     first analysis is taken. Unknown words come back unchanged.
     """
-    analyses = lexicon.analyses(word)
-    if not analyses:
-        return word
-    return delimiter.join(choose_morphemes(word, analyses, pos, mapping))
-
-
-def choose_morphemes(
-    word: str,
-    analyses,
-    pos: str | None = None,
-    mapping: dict[str, tuple[str, ...]] | None = None,
-) -> tuple[str, ...]:
-    """The morphemes of a word with lexicon analyses: the contextual
-    protocol with a POS tag (``(word,)`` when no analysis matches it),
-    the first analysis without one."""
-    if pos is not None:
-        return disambiguate(word, analyses, pos, mapping).chosen or (word,)
-    return acontextual_choice(analyses)
+    return _presegment(word, lexicon, pos, mapping, delimiter)[0]
 
 
 def strip_delimiters(preseg: PresegmentedCorpus) -> Corpus:

@@ -41,12 +41,23 @@ class WpTrainerConfig:
 class WpVocabulary:
     entries: set[str] = field(default_factory=set)
     unk_token: str = UNK_TOKEN
+    _max_len: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __contains__(self, piece: str) -> bool:
         return piece in self.entries
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def max_body_length(self) -> int:
+        """Length of the longest entry, not counting a "##" prefix."""
+        if self._max_len is None:
+            self._max_len = max((len(_body(e)) for e in self.entries), default=0)
+        return self._max_len
+
+
+def _body(piece: str) -> str:
+    return piece[len(CONTINUATION_PREFIX) :] if piece.startswith(CONTINUATION_PREFIX) else piece
 
 
 def _word_units(word: str, freq: int, delimiter: str | None):
@@ -84,7 +95,7 @@ def wp_train(corpus: Corpus, cfg: WpTrainerConfig) -> WpVocabulary:
     for symbols, _ in units:
         for s in symbols:
             vocab.add(s)
-            bare = s[2:] if s.startswith(CONTINUATION_PREFIX) else s
+            bare = _body(s)
             vocab.add(bare)
             vocab.add(CONTINUATION_PREFIX + bare)
     if cfg.seed_suffixes:
@@ -166,7 +177,8 @@ def wp_train(corpus: Corpus, cfg: WpTrainerConfig) -> WpVocabulary:
 
 def wp_encode(word: str, vocab: WpVocabulary, morph_delimiter: str | None = None) -> list[str]:
     """Greedy longest-match encoding; an unmatchable position maps the
-    whole word to the unknown token.
+    whole word to the unknown token. No match is longer than the longest
+    entry, so each position probes at most that many candidates.
 
     The word-initial position matches bare entries, every later position
     matches "##" entries. Delimiter boundaries are hard: each morpheme
@@ -179,12 +191,16 @@ def wp_encode(word: str, vocab: WpVocabulary, morph_delimiter: str | None = None
     if any(not s for s in segments):
         raise ValueError(f"empty morpheme segment in {word!r}")
     entries = vocab.entries
+    max_len = vocab.max_body_length()
     pieces = []
     for k, seg in enumerate(segments):
+        n = len(seg)
         i = 0
-        while i < len(seg):
+        while i < n:
             continuation = k > 0 or i > 0
-            j = len(seg)
+            j = i + max_len
+            if j > n:
+                j = n
             match = None
             while j > i:
                 cand = seg[i:j]

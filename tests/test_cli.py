@@ -1,10 +1,18 @@
 """Command line behavior: subcommand contracts and exit codes."""
 
 import io
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from morphtok import artifacts, cli
+
+ROOT = Path(__file__).resolve().parents[1]
+MINI = ROOT / "data" / "mini-latin"
 
 CORPUS = "portas portat portamus\nportat amat amamus\nportas amat portamus\n"
 LEXICON = (
@@ -37,6 +45,14 @@ def files(tmp_path):
         paths[name.split(".")[0]] = str(p)
     paths["dir"] = tmp_path
     return paths
+
+
+def src_env():
+    """The environment of a `python -m morphtok.cli` child that imports this
+    checkout and buffers its output as Python does by default."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def train_args(files, out, algorithm="wordpiece", guidance="baseline", *extra):
@@ -194,6 +210,46 @@ class TestTrain:
         assert "no usable lexicon rows (5 malformed)" in capsys.readouterr().err
         assert not (files["dir"] / "wp.tok").exists()
 
+    @pytest.mark.parametrize("command", ["train", "presegment"])
+    def test_lexicon_of_another_delimiter_is_input_error(self, tmp_path, capsys, command):
+        # with "#" only the 10 unsegmented rows of the "@" lexicon parse
+        lexicon = MINI / "lexicon.tsv"
+        out = tmp_path / "out"
+        args = ["--corpus", str(MINI / "corpus.txt"), "--lexicon", str(lexicon),
+                "--morph-delimiter", "#", "--output", str(out)]
+        if command == "train":
+            args = ["train", "--algorithm", "wordpiece", "--guidance", "morphpretok-acontextual",
+                    "--vocab-size", "1200", *args]
+        else:
+            args = ["presegment", "--mode", "acontextual", *args]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{lexicon}: 367 of 377 lexicon rows are malformed, the first at {lexicon}:1: " in err
+        assert "--morph-delimiter '#'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["wordpiece", "ulm"])
+    def test_underfilled_vocabulary_warns(self, files, capsys, algorithm):
+        out = str(files["dir"] / "small.tok")
+        args = train_args(files, out, algorithm, "baseline", "--seed-size", "100") if algorithm == "ulm" \
+            else train_args(files, out, algorithm)
+        args[args.index("--vocab-size") + 1] = "1000"
+        assert cli.main(args) == 0
+        entries = len(artifacts.load_tokenizer(out).vocab)
+        assert entries < 1000
+        err = capsys.readouterr().err
+        assert f"warning: vocabulary has {entries} entries, fewer than the 1000 asked for" in err
+        manifest = (files["dir"] / "small.tok.manifest").read_text(encoding="utf-8")
+        assert f"vocab_entries {entries}\n" in manifest
+
+    def test_filled_vocabulary_does_not_warn(self, files, capsys):
+        out = str(files["dir"] / "wp.tok")
+        args = train_args(files, out)
+        args[args.index("--vocab-size") + 1] = "20"
+        assert cli.main(args) == 0
+        assert len(artifacts.load_tokenizer(out).vocab) == 20
+        assert "warning" not in capsys.readouterr().err
+
 
 class TestPresegment:
     def test_acontextual_writes_delimited_corpus(self, files):
@@ -276,6 +332,112 @@ class TestEncode:
         code = cli.main(["encode", "--artifact", artifact, "--lexicon", files["lexicon"]])
         assert code == 0
         assert capsys.readouterr().out == "port ##as am ##at\n"
+
+    def test_stdin_streams_line_by_line(self, files, artifact, monkeypatch):
+        stdout = io.StringIO()
+        written_before_second_line = []
+
+        def stdin():
+            yield "portas amat\n"
+            written_before_second_line.append(stdout.getvalue())
+            yield "amat\n"
+
+        monkeypatch.setattr("sys.stdin", stdin())
+        monkeypatch.setattr("sys.stdout", stdout)
+        assert cli.main(["encode", "--artifact", artifact, "--lexicon", files["lexicon"]]) == 0
+        assert written_before_second_line == ["port ##as am ##at\n"]
+        assert stdout.getvalue() == "port ##as am ##at\nam ##at\n"
+
+    def test_stdin_pipe_answers_each_line(self, files, artifact):
+        # a caller may wait for each line's encoding before sending the next
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "morphtok.cli", "encode", "--artifact", artifact,
+             "--lexicon", files["lexicon"]],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=src_env(),
+        )
+        try:
+            answers = []
+            for line in (b"portas amat\n", b"amat\n"):
+                proc.stdin.write(line)
+                proc.stdin.flush()
+                reader = threading.Thread(target=lambda: answers.append(proc.stdout.readline()))
+                reader.start()
+                reader.join(timeout=60)
+                assert not reader.is_alive(), f"no answer to {line!r} while stdin is open"
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        assert answers == [b"port ##as am ##at\n", b"am ##at\n"]
+
+    def test_closed_pipe_exits_quietly(self, files, artifact):
+        # far more output than a pipe buffers, so writing must meet the closed pipe
+        big = files["dir"] / "big.txt"
+        big.write_text(CORPUS * 20000, encoding="utf-8")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "morphtok.cli", "encode", "--artifact", artifact,
+             "--input", str(big), "--lexicon", files["lexicon"]],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert first == b"port ##as port ##at port ##amus\n"
+        assert (code, err) == (0, b"")
+
+    def test_memo_cap_keeps_output(self, files, monkeypatch):
+        artifact = str(files["dir"] / "mini.tok")
+        lexicon = str(MINI / "lexicon.tsv")
+        assert cli.main(["train", "--algorithm", "ulm", "--guidance", "morphpretok-acontextual",
+                         "--corpus", str(MINI / "corpus.txt"), "--lexicon", lexicon,
+                         "--vocab-size", "400", "--seed-size", "3000", "--max-piece-length", "8",
+                         "--output", artifact]) == 0
+        calls = []
+        word_encoder = artifacts.word_encoder
+
+        def counting_word_encoder(*args, **kwargs):
+            encode = word_encoder(*args, **kwargs)
+
+            def counted(word, pos=None):
+                calls.append(word)
+                return encode(word, pos)
+
+            return counted
+
+        monkeypatch.setattr(artifacts, "word_encoder", counting_word_encoder)
+        texts = {}
+        for cap in (cli.ENCODE_MEMO_CAP, 2):
+            monkeypatch.setattr(cli, "ENCODE_MEMO_CAP", cap)
+            calls.clear()
+            out = files["dir"] / f"enc-{cap}.txt"
+            assert cli.main(["encode", "--artifact", artifact, "--input", str(MINI / "corpus.txt"),
+                             "--lexicon", lexicon, "--output", str(out)]) == 0
+            texts[cap] = out.read_text(encoding="utf-8")
+            n_tokens = len(texts[cap].split())
+            distinct = len(set(calls))
+            if cap == 2:  # only the first two words are kept
+                assert len(calls) > distinct
+            else:
+                assert len(calls) == distinct < n_tokens
+        assert texts[cli.ENCODE_MEMO_CAP] == texts[2]
+
+    def test_same_word_two_tags_encode_apart(self, tmp_path, capsys):
+        artifact = str(tmp_path / "ctx.tok")
+        lexicon = str(MINI / "lexicon.tsv")
+        assert cli.main(["train", "--algorithm", "wordpiece", "--guidance", "morphpretok-contextual",
+                         "--tagged-corpus", str(MINI / "tagged.tsv"), "--lexicon", lexicon,
+                         "--vocab-size", "1200", "--output", artifact]) == 0
+        tagged = tmp_path / "two.tsv"
+        tagged.write_text("vulneramus\tVERB\n\nvulneramus\tNOUN\n\nvulneramus\tVERB\n",
+                          encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["encode", "--artifact", artifact, "--input", str(tagged), "--tagged",
+                         "--lexicon", lexicon]) == 0
+        assert capsys.readouterr().out == "vulner ##amus\nvulneram ##us\nvulner ##amus\n"
 
     def test_missing_lexicon_warns(self, files, artifact, capsys):
         out = files["dir"] / "enc.txt"

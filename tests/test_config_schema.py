@@ -8,6 +8,7 @@ through each consumer.
 """
 
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from morphtok.ulm import UlmTokenizer, UlmTrainerConfig, ulm_train
 from morphtok.wordpiece import WordPieceTokenizer, WpTrainerConfig, wp_train
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+MINI = Path(__file__).resolve().parents[1] / "data" / "mini-latin"
 
 # inputs of the golden artifacts; changing a byte here invalidates them
 CORPUS = "portas portat portamus\nportat amat amamus\nportas amat portamus\n"
@@ -136,3 +138,42 @@ def test_every_field_reaches_header_digest_and_cli(algorithm, tmp_path, monkeypa
             assert getattr(artifacts.load_tokenizer("cli.tok").config, field.name) == value, where
             manifest = Path("cli.tok.manifest").read_text(encoding="utf-8")
             assert f"option_{field.name} {value}\n" in manifest, where
+
+
+# SHA-256 and line count of `encode` output, recorded before `encode` kept a
+# memo of each word's output text: the bundled corpus through wp.tok, and the
+# tagged corpus through a contextual artifact trained with CONTEXTUAL_RUN
+GOLDEN_ENCODINGS = {
+    "sentence": ([], "d375eb9a7f489c3d13b45e5b17367b079c157e754947f33705d7a469c9285c58", 6709),
+    "word": (["--granularity", "word"],
+             "12441192800db10d79b8ad34e326d320ce1c151e1c388675559502dc11d0eedc", 50003),
+    "strip-markers": (["--strip-markers"],
+                      "12731aeda5e6a2b34a60b0d720e0d5801a020e7f64ac3e755cf6bdbc2dbcc082", 6709),
+}
+CONTEXTUAL_RUN = ["--algorithm", "wordpiece", "--guidance", "morphpretok-contextual",
+                  "--tagged-corpus", str(MINI / "tagged.tsv"), "--lexicon", str(MINI / "lexicon.tsv"),
+                  "--vocab-size", "200"]
+CONTEXTUAL_ENCODING = ("bcbc34c667def069c54599addf393e93c8cfc536bd57911f1e3cccd91fa0fd26", 6709)
+
+
+def digest_and_lines(path: Path) -> tuple[str, int]:
+    data = path.read_bytes()
+    return hashlib.sha256(data).hexdigest(), data.count(b"\n")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ENCODINGS))
+def test_golden_encode_output(name, tmp_path):
+    flags, digest, lines = GOLDEN_ENCODINGS[name]
+    out = tmp_path / "encoded.txt"
+    assert cli.main(["encode", "--artifact", str(GOLDEN / "wp.tok"), "--input", str(MINI / "corpus.txt"),
+                     "--lexicon", str(MINI / "lexicon.tsv"), "--output", str(out), *flags]) == 0
+    assert digest_and_lines(out) == (digest, lines)
+
+
+def test_golden_contextual_encode_output(tmp_path):
+    artifact = str(tmp_path / "ctx.tok")
+    assert cli.main(["train", *CONTEXTUAL_RUN, "--output", artifact]) == 0
+    out = tmp_path / "encoded.txt"
+    assert cli.main(["encode", "--artifact", artifact, "--input", str(MINI / "tagged.tsv"), "--tagged",
+                     "--lexicon", str(MINI / "lexicon.tsv"), "--output", str(out)]) == 0
+    assert digest_and_lines(out) == CONTEXTUAL_ENCODING

@@ -3,8 +3,9 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from morphtok import presegment
 from morphtok.corpus import Corpus, MorphLexicon, TaggedCorpus
-from morphtok.morphology import MorphAnalysis
+from morphtok.morphology import MorphAnalysis, disambiguate
 from morphtok.presegment import (
     presegment_acontextual,
     presegment_contextual,
@@ -100,6 +101,69 @@ class TestPresegmentWord:
 
     def test_unknown_word_unchanged(self):
         assert presegment_word("xyzzy", LEX) == "xyzzy"
+
+
+def per_token_reference(tagged, lexicon):
+    """Contextual presegmentation word by word: the output and the
+    (total, out of lexicon, analyses seen, rule counts) tallies."""
+    sentences, oov, seen, rules = [], 0, 0, {}
+    for sentence in tagged.sentences:
+        sentences.append([presegment_word(w, lexicon, pos=t) for w, t in sentence])
+        for word, tag in sentence:
+            analyses = lexicon.analyses(word)
+            if not analyses:
+                oov += 1
+                continue
+            seen += len(analyses)
+            rule = disambiguate(word, analyses, tag).rule.value
+            rules[rule] = rules.get(rule, 0) + 1
+    total = sum(len(s) for s in tagged.sentences)
+    return sentences, (total, oov, seen, rules)
+
+
+class TestTypeLevel:
+    """Corpus presegmentation chooses once per distinct token and tallies
+    every token."""
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["cano", "rosa", "adversari", "x"]),
+                    st.sampled_from(["NOUN", "VERB", "ADV"]),
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_matches_per_token_reference(self, sentences):
+        tagged = TaggedCorpus(sentences)
+        preseg = presegment_contextual(tagged, LEX)
+        stats = preseg.stats
+        expected_sentences, expected_stats = per_token_reference(tagged, LEX)
+        assert preseg.sentences == expected_sentences
+        tallies = (stats.total_words, stats.out_of_lexicon, stats.analyses_seen, dict(stats.rule_counts))
+        assert tallies == expected_stats
+
+    def test_disambiguates_each_distinct_pair_once(self, monkeypatch):
+        calls = []
+
+        def counting(word, analyses, tag, mapping=None):
+            calls.append((word, tag))
+            return disambiguate(word, analyses, tag, mapping)
+
+        monkeypatch.setattr(presegment, "disambiguate", counting)
+        tagged = TaggedCorpus(
+            [[("adversari", "VERB"), ("adversari", "NOUN"), ("xyzzy", "X")],
+             [("adversari", "VERB"), ("rosa", "NOUN"), ("adversari", "NOUN")]]
+        )
+        stats = presegment_contextual(tagged, LEX).stats
+        assert calls == [("adversari", "VERB"), ("adversari", "NOUN"), ("rosa", "NOUN")]
+        assert (stats.total_words, stats.out_of_lexicon, stats.analyses_seen) == (6, 1, 10)
+        assert stats.rule_counts == {"PosMatched": 5}
 
 
 class TestStripRoundTrip:

@@ -1,5 +1,8 @@
 """WordPiece training and greedy longest-match encoding."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,3 +193,37 @@ class TestEncodeOracle:
         assert wp_encode(token, vocab, morph_delimiter="@") == wp_encode_oracle(
             token, entries, delimiter="@"
         )
+
+
+class ProbeCountingSet(set):
+    """A vocabulary entry set that counts membership probes."""
+
+    probes = 0
+
+    def __contains__(self, piece):
+        self.probes += 1
+        return super().__contains__(piece)
+
+
+class TestLongWords:
+    def test_probes_bounded_by_longest_entry(self):
+        # every position probes at most max_len candidates (plus the one that
+        # ends the walk), so a long word costs time linear in its length
+        rng = random.Random(0)
+        bodies = ["".join(p) for n in range(1, 7) for p in itertools.product("ab", repeat=n)]
+        entries = {"[UNK]", "a", "b", "##a", "##b"}
+        entries |= {b for b in bodies if rng.random() < 0.5}
+        entries |= {"##" + b for b in bodies if rng.random() < 0.7}
+        word = "".join(rng.choice("ab") for _ in range(4000))
+        vocab = WpVocabulary(entries=ProbeCountingSet(entries))
+        assert vocab.max_body_length() == 6
+
+        pieces = wp_encode(word, vocab)
+        assert vocab.entries.probes <= len(word) * (vocab.max_body_length() + 1)
+        assert pieces == wp_encode_oracle(word, entries)
+        assert "".join(strip_markers(pieces)) == word
+
+    def test_max_body_length_ignores_continuation_prefix(self):
+        vocab = WpVocabulary(entries={"[UNK]", "ab", "##abc"})
+        assert vocab.max_body_length() == 5  # "[UNK]"
+        assert WpVocabulary(entries={"ab", "##abc"}).max_body_length() == 3
