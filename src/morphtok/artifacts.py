@@ -31,7 +31,7 @@ import math
 import typing
 import warnings
 
-from .corpus import MorphLexicon
+from .corpus import DEFAULT_DELIMITER, MorphLexicon
 from .errors import LoaderError
 from .presegment import presegment_word
 from .ulm import UlmTokenizer, UlmTrainerConfig, UlmVocabulary
@@ -196,7 +196,7 @@ def word_encoder(
                 lexicon,
                 pos=pos if contextual else None,
                 mapping=pos_mapping,
-                delimiter=delimiter or "@",
+                delimiter=delimiter or DEFAULT_DELIMITER,
             )
         return model.encode_word(word)
 

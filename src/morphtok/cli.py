@@ -21,6 +21,7 @@ from .corpus import (
     load_suffixes,
     load_tagged_corpus,
     sample_sentences,
+    tagged_sentences,
     unescape_delimiter,
 )
 from .errors import LoaderError
@@ -122,10 +123,10 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _load_checked_lexicon(path, delimiter: str):
+def _load_checked_lexicon(path, delimiter: str, source: str = "--morph-delimiter"):
     """Load a lexicon; fail when no row is usable or the malformed rows
     outnumber the usable ones (as with a wrong delimiter), else warn about
-    any skipped rows."""
+    any skipped rows. `source` names where the delimiter came from."""
     lexicon = load_lexicon(path, delimiter)
     rejected = lexicon.rejected
     if not len(lexicon):
@@ -134,7 +135,7 @@ def _load_checked_lexicon(path, delimiter: str):
     if len(rejected) > usable:
         raise LoaderError(
             f"{path}: {len(rejected)} of {len(rejected) + usable} lexicon rows are malformed, "
-            f"the first at {rejected[0]}; does --morph-delimiter {delimiter!r} "
+            f"the first at {rejected[0]}; does {source} {delimiter!r} "
             "match the lexicon's segmentations?"
         )
     if rejected:
@@ -273,19 +274,29 @@ def _stdin_sentences(lowercase: bool, delimiter: str):
             yield [(escape_delimiter(w, delimiter), None) for w in words]
 
 
+def _artifact_lexicon(path, model, loaded: dict):
+    """The lexicon at `path`, read with the delimiter `model` presegments
+    with; `loaded` keeps one per delimiter."""
+    delimiter = model.config.morph_delimiter or DEFAULT_DELIMITER
+    if delimiter not in loaded:
+        source = "the artifact's" if model.config.morph_delimiter else "the default"
+        loaded[delimiter] = _load_checked_lexicon(path, delimiter, f"{source} morph delimiter")
+    return loaded[delimiter]
+
+
 def cmd_encode(args) -> int:
     model = artifacts.load_tokenizer(args.artifact)
-    lexicon = None
-    if args.lexicon:
-        lexicon = load_lexicon(args.lexicon, model.config.morph_delimiter or DEFAULT_DELIMITER)
+    lexicon = _artifact_lexicon(args.lexicon, model, {}) if args.lexicon else None
     mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping else None
     encoder = artifacts.word_encoder(model, lexicon, mapping, on_warning=_warn)
 
     delimiter = model.config.morph_delimiter or DEFAULT_DELIMITER
-    streaming = args.input == "-" and not args.tagged
-    if args.tagged:
-        tagged = load_tagged_corpus(args.input, args.lowercase, delimiter)
-        sentences = tagged.sentences
+    streaming = args.input == "-"
+    if streaming and args.tagged:  # a blank line ends each sentence
+        lines = enumerate(sys.stdin, start=1)
+        sentences = tagged_sentences(lines, "<stdin>", args.lowercase, delimiter)
+    elif args.tagged:
+        sentences = load_tagged_corpus(args.input, args.lowercase, delimiter).sentences
     elif streaming:
         sentences = _stdin_sentences(args.lowercase, delimiter)
     else:
@@ -328,11 +339,10 @@ def cmd_evaluate(args) -> int:
 
     reports = []
     names = set()
+    lexicons: dict = {}  # delimiter -> lexicon
     for path in args.artifact:
         model = artifacts.load_tokenizer(path)
-        lexicon = None
-        if args.lexicon:
-            lexicon = load_lexicon(args.lexicon, model.config.morph_delimiter or DEFAULT_DELIMITER)
+        lexicon = _artifact_lexicon(args.lexicon, model, lexicons) if args.lexicon else None
         encoder = artifacts.word_encoder(model, lexicon, mapping, on_warning=_warn)
         name = f"{artifacts.model_kind(model)}-{model.guidance}"
         if name in names:

@@ -62,6 +62,17 @@ def split_on_delimiter(text: str, delimiter: str = DEFAULT_DELIMITER) -> list[st
     return parts
 
 
+def morph_segments(word: str, delimiter: str | None, task: str) -> list[str]:
+    """A word's morpheme segments (the word alone without a delimiter);
+    `task` ("encode", "train on") words the error for an empty one."""
+    if not word:
+        raise ValueError(f"cannot {task} an empty word")
+    segments = split_on_delimiter(word, delimiter) if delimiter else [word]
+    if not all(segments):
+        raise ValueError(f"cannot {task} {word!r}: empty morpheme segment")
+    return segments
+
+
 def _iter_lines(path):
     """Yield (lineno, text) pairs, decoding per line so errors carry a location."""
     with open(path, "rb") as fh:
@@ -130,32 +141,37 @@ class TaggedCorpus:
         return sum(len(s) for s in self.sentences)
 
 
-def load_tagged_corpus(
-    path, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITER
-) -> TaggedCorpus:
-    """Load a POS-tagged corpus: ``word<TAB>UD_POS`` rows, blank line between sentences."""
-    sentences: list[list[tuple[str, str]]] = []
+def tagged_sentences(lines, source, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITER):
+    """Sentences of (word, UD tag) pairs from ``(lineno, text)`` pairs of
+    ``word<TAB>UD_POS`` rows, each yielded at the blank line that ends it;
+    errors are located at ``source:lineno``."""
     current: list[tuple[str, str]] = []
-    for lineno, line in _iter_lines(path):
+    for lineno, line in lines:
         if not line.strip():
             if current:
-                sentences.append(current)
+                yield current
                 current = []
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise loader_error(path, lineno, f"expected 2 tab-separated fields, got {len(parts)}")
+            raise loader_error(source, lineno, f"expected 2 tab-separated fields, got {len(parts)}")
         word, tag = parts[0].strip(), parts[1].strip()
         if not word:
-            raise loader_error(path, lineno, "empty word")
+            raise loader_error(source, lineno, "empty word")
         if tag not in UD_TAGS:
-            raise loader_error(path, lineno, f"unknown UD POS tag: {tag!r}")
+            raise loader_error(source, lineno, f"unknown UD POS tag: {tag!r}")
         if lowercase:
             word = word.lower()
         current.append((escape_delimiter(word, delimiter), tag))
     if current:
-        sentences.append(current)
-    return TaggedCorpus(sentences)
+        yield current
+
+
+def load_tagged_corpus(
+    path, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITER
+) -> TaggedCorpus:
+    """Load a POS-tagged corpus: ``word<TAB>UD_POS`` rows, blank line between sentences."""
+    return TaggedCorpus(list(tagged_sentences(_iter_lines(path), path, lowercase, delimiter)))
 
 
 @dataclass

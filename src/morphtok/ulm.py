@@ -12,6 +12,10 @@ are protected from pruning and can carry a decode-time log-prob boost;
 single characters are never pruned so every training word stays
 segmentable.
 
+One lattice core serves decoding, EM and both pruning utilities:
+`_lattice` builds a unit's segmentation lattice, `_viterbi` scores its
+best path and `_forward`/`_backward` its marginals.
+
 With a morph delimiter configured, words split into morpheme segments
 and each segment gets its own lattice, so no piece ever spans a
 morpheme boundary.
@@ -23,7 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import UNK_TOKEN, Corpus, split_on_delimiter
+from .corpus import UNK_TOKEN, Corpus, morph_segments
 
 NEG_INF = float("-inf")
 
@@ -81,18 +85,14 @@ def _split_units(word_freqs, morph_delimiter: str | None) -> Counter:
     """Frequency-weighted morpheme segments (whole words when no delimiter)."""
     units: Counter = Counter()
     for word, freq in word_freqs.items():
-        if not word:
-            raise ValueError("cannot train on an empty word")
-        segments = split_on_delimiter(word, morph_delimiter) if morph_delimiter else [word]
-        if any(not s for s in segments):
-            raise ValueError(f"empty morpheme segment in {word!r}")
-        for seg in segments:
+        for seg in morph_segments(word, morph_delimiter, "train on"):
             units[seg] += freq
     return units
 
 
-def _adjacency(unit: str, pieces, max_len: int) -> list[list[tuple[int, str]]]:
-    """Lattice edges grouped by start position: out[i] lists (end, piece)."""
+def _lattice(unit: str, pieces, max_len: int) -> list[list[tuple[int, str]]]:
+    """Segmentation lattice of a unit, one row per character: row i lists
+    the edges (end, piece) that start at position i, shortest first."""
     n = len(unit)
     out: list[list[tuple[int, str]]] = [[] for _ in range(n)]
     for i in range(n):
@@ -114,7 +114,7 @@ def _better(cand, cur) -> bool:
     return cand[2] < cur[2]
 
 
-def _viterbi(unit, adjacency, log_probs, protected=frozenset(), boost=0.0):
+def _viterbi(lattice, log_probs, protected=frozenset(), boost=0.0):
     """Best (score, piece_count, pieces, weights) over the lattice, or None.
 
     A path scores the correctly-rounded sum (math.fsum) of its edge
@@ -123,7 +123,7 @@ def _viterbi(unit, adjacency, log_probs, protected=frozenset(), boost=0.0):
     Left-to-right accumulation would instead let intermediate rounding
     pick between such paths by accident.
     """
-    n = len(unit)
+    n = len(lattice)
     best: list[tuple[float, int, tuple[str, ...], tuple[float, ...]] | None]
     best = [None] * (n + 1)
     best[0] = (0.0, 0, (), ())
@@ -132,7 +132,7 @@ def _viterbi(unit, adjacency, log_probs, protected=frozenset(), boost=0.0):
         if b is None:
             continue
         _, count_i, seq_i, weights_i = b
-        for j, piece in adjacency[i]:
+        for j, piece in lattice[i]:
             w = log_probs[piece]
             if boost and piece in protected:
                 w += boost
@@ -148,23 +148,19 @@ def ulm_encode(word: str, vocab: UlmVocabulary, morph_delimiter: str | None = No
     """Viterbi-decode a word; any unreachable position maps the whole word
     to the unknown token. Protected entries receive the vocabulary's
     boost on their lattice edges."""
-    if not word:
-        raise ValueError("cannot encode an empty word")
-    segments = split_on_delimiter(word, morph_delimiter) if morph_delimiter else [word]
-    if any(not s for s in segments):
-        raise ValueError(f"empty morpheme segment in {word!r}")
+    log_probs = vocab.log_probs
     max_len = vocab.max_piece_length()
     pieces: list[str] = []
-    for seg in segments:
-        adjacency = _adjacency(seg, vocab.log_probs, max_len)
-        res = _viterbi(seg, adjacency, vocab.log_probs, vocab.protected, vocab.boost)
+    for seg in morph_segments(word, morph_delimiter, "encode"):
+        res = _viterbi(_lattice(seg, log_probs, max_len), log_probs, vocab.protected, vocab.boost)
         if res is None:
             return [vocab.unk_token]
         pieces.extend(res[2])
     return pieces
 
 
-def _forward(n, adjacency, log_probs):
+def _forward(lattice, log_probs):
+    n = len(lattice)
     contrib: list[list[float]] = [[] for _ in range(n + 1)]
     alpha = [NEG_INF] * (n + 1)
     alpha[0] = 0.0
@@ -174,18 +170,19 @@ def _forward(n, adjacency, log_probs):
         ai = alpha[i]
         if ai == NEG_INF:
             continue
-        for j, piece in adjacency[i]:
+        for j, piece in lattice[i]:
             contrib[j].append(ai + log_probs[piece])
     alpha[n] = _logsumexp(contrib[n]) if contrib[n] else NEG_INF
     return alpha
 
 
-def _backward(n, adjacency, log_probs):
+def _backward(lattice, log_probs):
+    n = len(lattice)
     beta = [NEG_INF] * (n + 1)
     beta[n] = 0.0
     for i in range(n - 1, -1, -1):
         vals = []
-        for j, piece in adjacency[i]:
+        for j, piece in lattice[i]:
             bj = beta[j]
             if bj != NEG_INF:
                 vals.append(log_probs[piece] + bj)
@@ -193,30 +190,33 @@ def _backward(n, adjacency, log_probs):
     return beta
 
 
-def _expected_counts(unit_counts, log_probs, adjacency_map):
-    """Forward-backward posterior piece counts, frequency-weighted.
+def _expected_counts(unit_counts, log_probs, lattices=None):
+    """Forward-backward posterior piece counts, frequency-weighted, over
+    `lattices` (unit -> lattice), which are built here when not given.
 
     Returns (counts, corpus log-likelihood, unlatticizable units); the
     latter contribute nothing to counts and stand for UNK fallbacks.
     """
+    if lattices is None:
+        max_len = max(map(len, log_probs), default=0)
+        lattices = {unit: _lattice(unit, log_probs, max_len) for unit in unit_counts}
     counts = {p: 0.0 for p in log_probs}
     ll = 0.0
     unk: list[str] = []
     for unit, freq in unit_counts.items():
-        n = len(unit)
-        adjacency = adjacency_map[unit]
-        alpha = _forward(n, adjacency, log_probs)
-        log_z = alpha[n]
+        lattice = lattices[unit]
+        alpha = _forward(lattice, log_probs)
+        log_z = alpha[-1]
         if log_z == NEG_INF:
             unk.append(unit)
             continue
-        beta = _backward(n, adjacency, log_probs)
+        beta = _backward(lattice, log_probs)
         ll += freq * log_z
-        for i in range(n):
+        for i, row in enumerate(lattice):
             ai = alpha[i]
             if ai == NEG_INF:
                 continue
-            for j, piece in adjacency[i]:
+            for j, piece in row:
                 bj = beta[j]
                 if bj == NEG_INF:
                     continue
@@ -224,19 +224,14 @@ def _expected_counts(unit_counts, log_probs, adjacency_map):
     return counts, ll, unk
 
 
-def _em_step_units(unit_counts, log_probs, adjacency_map):
-    counts, ll, unk = _expected_counts(unit_counts, log_probs, adjacency_map)
+def _em_step_units(unit_counts, log_probs, lattices=None):
+    counts, ll, unk = _expected_counts(unit_counts, log_probs, lattices)
     total = math.fsum(counts.values())
     if total <= 0:
         raise ValueError("EM step found no probability mass; vocabulary cannot cover the corpus")
     log_total = math.log(total)
     new = {p: (math.log(c) - log_total if c > 0.0 else NEG_INF) for p, c in counts.items()}
     return new, ll, unk
-
-
-def _adjacency_map(unit_counts, log_probs):
-    max_len = max((len(p) for p in log_probs), default=0)
-    return {u: _adjacency(u, log_probs, max_len) for u in unit_counts}
 
 
 def em_step(word_freqs, log_probs, morph_delimiter: str | None = None):
@@ -246,8 +241,7 @@ def em_step(word_freqs, log_probs, morph_delimiter: str | None = None):
     the likelihood is computed under the input parameters, so iterating
     this function yields a non-decreasing likelihood sequence.
     """
-    unit_counts = _split_units(word_freqs, morph_delimiter)
-    return _em_step_units(unit_counts, log_probs, _adjacency_map(unit_counts, log_probs))
+    return _em_step_units(_split_units(word_freqs, morph_delimiter), log_probs)
 
 
 def ulm_marginal_counts(corpus: Corpus, vocab: UlmVocabulary, morph_delimiter: str | None = None):
@@ -256,11 +250,8 @@ def ulm_marginal_counts(corpus: Corpus, vocab: UlmVocabulary, morph_delimiter: s
     Boost never applies here; it is a decode-time device. Returns
     (counts for every entry, words that fell back to UNK).
     """
-    word_freqs = corpus.word_counts()
-    unit_counts = _split_units(word_freqs, morph_delimiter)
-    counts, _, unk = _expected_counts(
-        unit_counts, vocab.log_probs, _adjacency_map(unit_counts, vocab.log_probs)
-    )
+    unit_counts = _split_units(corpus.word_counts(), morph_delimiter)
+    counts, _, unk = _expected_counts(unit_counts, vocab.log_probs)
     return counts, unk
 
 
@@ -268,12 +259,8 @@ def corpus_log_likelihood(corpus: Corpus, vocab: UlmVocabulary, morph_delimiter:
     """Frequency-weighted sum of per-word marginal log-probabilities.
 
     Unlatticizable words are skipped (they carry no finite likelihood)."""
-    word_freqs = corpus.word_counts()
-    unit_counts = _split_units(word_freqs, morph_delimiter)
-    _, ll, _ = _expected_counts(
-        unit_counts, vocab.log_probs, _adjacency_map(unit_counts, vocab.log_probs)
-    )
-    return ll
+    unit_counts = _split_units(corpus.word_counts(), morph_delimiter)
+    return _expected_counts(unit_counts, vocab.log_probs)[1]
 
 
 def _seed_log_probs(unit_counts, cfg: UlmTrainerConfig, protected) -> dict[str, float]:
@@ -300,21 +287,7 @@ def _seed_log_probs(unit_counts, cfg: UlmTrainerConfig, protected) -> dict[str, 
     return {p: math.log(w) - log_total for p, w in weights.items()}
 
 
-def _alternative_score(piece: str, log_probs, max_len: int):
-    """Best segmentation score of a piece's own string without the piece itself."""
-    n = len(piece)
-    adjacency: list[list[tuple[int, str]]] = [[] for _ in range(n)]
-    for i in range(n):
-        top = min(i + max_len, n)
-        for j in range(i + 1, top + 1):
-            sub = piece[i:j]
-            if sub != piece and sub in log_probs:
-                adjacency[i].append((j, sub))
-    res = _viterbi(piece, adjacency, log_probs)
-    return None if res is None else res[0]
-
-
-def _approximate_utilities(prunable, unit_counts, adjacency_map, log_probs):
+def _approximate_utilities(prunable, unit_counts, lattices, log_probs):
     """Likelihood loss if an entry is removed, under current Viterbi segmentations.
 
     usage(p) * (logprob(p) - best alternative for p's string); unused
@@ -322,32 +295,32 @@ def _approximate_utilities(prunable, unit_counts, adjacency_map, log_probs):
     """
     usage: Counter = Counter()
     for unit, freq in unit_counts.items():
-        res = _viterbi(unit, adjacency_map[unit], log_probs)
+        res = _viterbi(lattices[unit], log_probs)
         if res is None:
             continue
         for piece in res[2]:
             usage[piece] += freq
-    max_len = max(len(p) for p in log_probs)
+    max_len = max(map(len, log_probs))
     utilities = {}
     for p in prunable:
         f = usage.get(p, 0)
         if f == 0:
             utilities[p] = 0.0
             continue
-        alt = _alternative_score(p, log_probs, max_len)
-        utilities[p] = math.inf if alt is None else f * (log_probs[p] - alt)
+        lattice = _lattice(p, log_probs, max_len)
+        lattice[0].pop()  # p's own edge, the longest from position 0
+        alt = _viterbi(lattice, log_probs)
+        utilities[p] = math.inf if alt is None else f * (log_probs[p] - alt[0])
     return utilities
 
 
-def _exact_utilities(prunable, unit_counts, adjacency_map, log_probs):
+def _exact_utilities(prunable, unit_counts, lattices, log_probs):
     """Exact marginal-likelihood loss per entry (recomputes affected lattices)."""
     log_z = {}
     touched: dict[str, set[str]] = {}
-    for unit in unit_counts:
-        adjacency = adjacency_map[unit]
-        alpha = _forward(len(unit), adjacency, log_probs)
-        log_z[unit] = alpha[len(unit)]
-        for row in adjacency:
+    for unit, lattice in lattices.items():
+        log_z[unit] = _forward(lattice, log_probs)[-1]
+        for row in lattice:
             for _, piece in row:
                 touched.setdefault(piece, set()).add(unit)
     utilities = {}
@@ -357,11 +330,8 @@ def _exact_utilities(prunable, unit_counts, adjacency_map, log_probs):
             full = log_z[unit]
             if full == NEG_INF:
                 continue
-            adjacency = [
-                [(j, piece) for j, piece in row if piece != p] for row in adjacency_map[unit]
-            ]
-            alpha = _forward(len(unit), adjacency, log_probs)
-            without = alpha[len(unit)]
+            without_p = [[(j, piece) for j, piece in row if piece != p] for row in lattices[unit]]
+            without = _forward(without_p, log_probs)[-1]
             if without == NEG_INF:
                 util = math.inf
                 break
@@ -370,7 +340,7 @@ def _exact_utilities(prunable, unit_counts, adjacency_map, log_probs):
     return utilities
 
 
-def _prune(log_probs, unit_counts, adjacency_map, cfg: UlmTrainerConfig, exempt):
+def _prune(log_probs, unit_counts, lattices, cfg: UlmTrainerConfig, exempt):
     overshoot = len(log_probs) - cfg.vocab_size
     if overshoot <= 0:
         return log_probs
@@ -380,9 +350,9 @@ def _prune(log_probs, unit_counts, adjacency_map, cfg: UlmTrainerConfig, exempt)
     k = int(len(prunable) * (1 - cfg.shrinking_factor))
     k = max(1, min(k, overshoot, len(prunable)))
     if cfg.exact_pruning:
-        utilities = _exact_utilities(prunable, unit_counts, adjacency_map, log_probs)
+        utilities = _exact_utilities(prunable, unit_counts, lattices, log_probs)
     else:
-        utilities = _approximate_utilities(prunable, unit_counts, adjacency_map, log_probs)
+        utilities = _approximate_utilities(prunable, unit_counts, lattices, log_probs)
     drop = set(sorted(prunable, key=lambda p: (utilities[p], p))[:k])
     return {p: lp for p, lp in log_probs.items() if p not in drop}
 
@@ -407,15 +377,14 @@ def ulm_train(corpus: Corpus, cfg: UlmTrainerConfig) -> UlmVocabulary:
         )
 
     log_probs = _seed_log_probs(unit_counts, cfg, protected)
-    while len(log_probs) > cfg.vocab_size:
-        adjacency_map = _adjacency_map(unit_counts, log_probs)
+    while True:  # a round's lattices serve its EM steps and its pruning
+        max_len = max(map(len, log_probs))
+        lattices = {unit: _lattice(unit, log_probs, max_len) for unit in unit_counts}
         for _ in range(cfg.em_iterations_per_round):
-            log_probs, _, _ = _em_step_units(unit_counts, log_probs, adjacency_map)
-        log_probs = _prune(log_probs, unit_counts, adjacency_map, cfg, exempt)
-
-    adjacency_map = _adjacency_map(unit_counts, log_probs)
-    for _ in range(cfg.em_iterations_per_round):
-        log_probs, _, _ = _em_step_units(unit_counts, log_probs, adjacency_map)
+            log_probs, _, _ = _em_step_units(unit_counts, log_probs, lattices)
+        if len(log_probs) <= cfg.vocab_size:
+            break
+        log_probs = _prune(log_probs, unit_counts, lattices, cfg, exempt)
 
     boost = cfg.seed_weight if protected else 0.0
     return UlmVocabulary(log_probs, frozenset(protected), boost)

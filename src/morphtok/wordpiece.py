@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .corpus import CONTINUATION_PREFIX, UNK_TOKEN, Corpus, split_on_delimiter
+from .corpus import CONTINUATION_PREFIX, UNK_TOKEN, Corpus, morph_segments
 
 
 @dataclass
@@ -62,11 +62,8 @@ def _body(piece: str) -> str:
 
 def _word_units(word: str, freq: int, delimiter: str | None):
     """Symbol sequences for one word, one unit per morpheme segment."""
-    segments = split_on_delimiter(word, delimiter) if delimiter else [word]
-    if any(not s for s in segments):
-        raise ValueError(f"empty morpheme segment in {word!r}")
     units = []
-    for k, seg in enumerate(segments):
+    for k, seg in enumerate(morph_segments(word, delimiter, "train on")):
         symbols = []
         for i, ch in enumerate(seg):
             if k == 0 and i == 0:
@@ -185,15 +182,10 @@ def wp_encode(word: str, vocab: WpVocabulary, morph_delimiter: str | None = None
     segment is encoded on its own, segments after the first entirely in
     continuation form.
     """
-    if not word:
-        raise ValueError("cannot encode an empty word")
-    segments = split_on_delimiter(word, morph_delimiter) if morph_delimiter else [word]
-    if any(not s for s in segments):
-        raise ValueError(f"empty morpheme segment in {word!r}")
     entries = vocab.entries
     max_len = vocab.max_body_length()
     pieces = []
-    for k, seg in enumerate(segments):
+    for k, seg in enumerate(morph_segments(word, morph_delimiter, "encode")):
         n = len(seg)
         i = 0
         while i < n:

@@ -8,6 +8,7 @@ tools/make_mini_corpus.py with a fixed seed, so its gold statistics are
 known by construction and frozen here.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -135,17 +136,36 @@ def test_criterion_1_decode_oracle_equivalence():
           f"0 mismatches, {elapsed:.2f}s")
 
 
+# SHA-256 prefixes of the first-run artifacts, recorded before the ULM
+# lattice core was unified; a refactor must leave every byte in place
+ARTIFACT_SHA256 = {
+    ("wordpiece", "baseline"): "1d3ec63a6fb0",
+    ("wordpiece", "morphseed"): "04afff1a4f09",
+    ("wordpiece", "morphpretok-acontextual"): "35033b0365b7",
+    ("wordpiece", "morphpretok-contextual"): "38b625b7f4ae",
+    ("ulm", "baseline"): "4ab000084639",
+    ("ulm", "morphseed"): "f39b85a69f99",
+    ("ulm", "morphpretok-acontextual"): "982b3b1b7533",
+    ("ulm", "morphpretok-contextual"): "d783d0ae5c1e",
+}
+
+
 def test_criterion_2_trainer_determinism(trained):
-    """Two runs per configuration produce byte-identical artifacts.
+    """Two runs per configuration produce byte-identical artifacts, and
+    the first run's bytes are the recorded ones.
 
     Training is single-threaded by construction, so the result cannot
     depend on a worker count; the repeated-run check still guards
     against ordering or hash-iteration leaks.
     """
     for (algo, guidance), (a, b) in sorted(trained["paths"].items()):
-        assert a.read_bytes() == b.read_bytes(), f"{algo}/{guidance} not deterministic"
+        first = a.read_bytes()
+        assert first == b.read_bytes(), f"{algo}/{guidance} not deterministic"
+        digest = hashlib.sha256(first).hexdigest()
+        assert digest.startswith(ARTIFACT_SHA256[(algo, guidance)]), f"{algo}/{guidance} bytes moved"
     assert trained["seconds"] < 300.0, f"training took {trained['seconds']:.0f}s"
-    print(f"criterion 2 (trainer determinism): PASS, 8/8 configurations byte-identical, "
+    print(f"criterion 2 (trainer determinism): PASS, 8/8 configurations byte-identical "
+          f"and equal to the recorded digests, "
           f"16 trainings in {trained['seconds']:.1f}s")
 
 

@@ -210,22 +210,34 @@ class TestTrain:
         assert "no usable lexicon rows (5 malformed)" in capsys.readouterr().err
         assert not (files["dir"] / "wp.tok").exists()
 
-    @pytest.mark.parametrize("command", ["train", "presegment"])
+    @pytest.mark.parametrize("command", ["train", "presegment", "encode", "evaluate"])
     def test_lexicon_of_another_delimiter_is_input_error(self, tmp_path, capsys, command):
-        # with "#" only the 10 unsegmented rows of the "@" lexicon parse
+        # with the other delimiter only the 10 unsegmented rows of 377 parse
         lexicon = MINI / "lexicon.tsv"
         out = tmp_path / "out"
-        args = ["--corpus", str(MINI / "corpus.txt"), "--lexicon", str(lexicon),
-                "--morph-delimiter", "#", "--output", str(out)]
-        if command == "train":
-            args = ["train", "--algorithm", "wordpiece", "--guidance", "morphpretok-acontextual",
-                    "--vocab-size", "1200", *args]
-        else:
-            args = ["presegment", "--mode", "acontextual", *args]
+        pretok = ["--algorithm", "wordpiece", "--guidance", "morphpretok-acontextual",
+                  "--vocab-size", "1200"]
+        if command in ("train", "presegment"):  # "@" lexicon, "#" flag
+            args = ["--corpus", str(MINI / "corpus.txt"), "--lexicon", str(lexicon),
+                    "--morph-delimiter", "#", "--output", str(out)]
+            args = ["train", *pretok, *args] if command == "train" \
+                else ["presegment", "--mode", "acontextual", *args]
+            named = "--morph-delimiter '#'"
+        else:  # "#" lexicon, "@" artifact
+            artifact = str(tmp_path / "wp.tok")
+            assert cli.main(["train", *pretok, "--corpus", str(MINI / "corpus.txt"),
+                             "--lexicon", str(lexicon), "--output", artifact]) == 0
+            hashed = tmp_path / "lexicon.tsv"
+            hashed.write_text(lexicon.read_text(encoding="utf-8").replace("@", "#"), encoding="utf-8")
+            lexicon = hashed
+            args = ["--artifact", artifact, "--lexicon", str(lexicon), "--output", str(out)]
+            args = ["encode", "--input", str(MINI / "corpus.txt"), *args] if command == "encode" \
+                else ["evaluate", "--gold", str(MINI / "gold-acontextual.tsv"), *args]
+            named = "the artifact's morph delimiter '@'"
         assert cli.main(args) == 2
         err = capsys.readouterr().err
         assert f"{lexicon}: 367 of 377 lexicon rows are malformed, the first at {lexicon}:1: " in err
-        assert "--morph-delimiter '#'" in err
+        assert named in err
         assert not out.exists()
 
     @pytest.mark.parametrize("algorithm", ["wordpiece", "ulm"])
@@ -347,6 +359,32 @@ class TestEncode:
         assert cli.main(["encode", "--artifact", artifact, "--lexicon", files["lexicon"]]) == 0
         assert written_before_second_line == ["port ##as am ##at\n"]
         assert stdout.getvalue() == "port ##as am ##at\nam ##at\n"
+
+    def test_tagged_stdin_streams_sentence_by_sentence(self, files, artifact, monkeypatch):
+        stdout = io.StringIO()
+        written_before_second_sentence = []
+
+        def stdin():
+            yield "portas\tVERB\n"
+            yield "amat\tVERB\n"
+            yield "\n"
+            written_before_second_sentence.append(stdout.getvalue())
+            yield "amat\tVERB\n"
+
+        monkeypatch.setattr("sys.stdin", stdin())
+        monkeypatch.setattr("sys.stdout", stdout)
+        args = ["encode", "--artifact", artifact, "--lexicon", files["lexicon"], "--tagged"]
+        assert cli.main(args) == 0
+        assert written_before_second_sentence == ["port ##as am ##at\n"]
+        assert stdout.getvalue() == "port ##as am ##at\nam ##at\n"
+
+    def test_tagged_stdin_error_is_located(self, files, artifact, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("portas\tVERB\n\namat\tVERBISH\n"))
+        args = ["encode", "--artifact", artifact, "--lexicon", files["lexicon"], "--tagged"]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "port ##as\n"
+        assert "error: <stdin>:3: unknown UD POS tag: 'VERBISH'" in captured.err
 
     def test_stdin_pipe_answers_each_line(self, files, artifact):
         # a caller may wait for each line's encoding before sending the next
@@ -499,6 +537,16 @@ class TestEvaluate:
              "--lexicon", files["lexicon"], "--mode", "contextual"]
         )
         assert code == 0
+
+    def test_lexicon_loaded_once_per_delimiter(self, files, two_artifacts, monkeypatch):
+        # the pretok artifact's "@" and the baseline's default "@" share one load
+        loaded = []
+        load_lexicon = cli.load_lexicon
+        monkeypatch.setattr(cli, "load_lexicon", lambda *a: loaded.append(a) or load_lexicon(*a))
+        a, b = two_artifacts
+        assert cli.main(["evaluate", "--artifact", a, "--artifact", b, "--gold", files["gold"],
+                         "--lexicon", files["lexicon"]]) == 0
+        assert loaded == [(files["lexicon"], "@")]
 
     def test_missing_gold_is_input_error(self, files, two_artifacts):
         a, _ = two_artifacts

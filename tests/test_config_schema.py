@@ -142,13 +142,16 @@ def test_every_field_reaches_header_digest_and_cli(algorithm, tmp_path, monkeypa
 
 # SHA-256 and line count of `encode` output, recorded before `encode` kept a
 # memo of each word's output text: the bundled corpus through wp.tok, and the
-# tagged corpus through a contextual artifact trained with CONTEXTUAL_RUN
+# tagged corpus through a contextual artifact trained with CONTEXTUAL_RUN;
+# "ulm" (the bundled corpus through ulm.tok) was recorded before the ULM
+# lattice core was unified
 GOLDEN_ENCODINGS = {
-    "sentence": ([], "d375eb9a7f489c3d13b45e5b17367b079c157e754947f33705d7a469c9285c58", 6709),
-    "word": (["--granularity", "word"],
+    "sentence": ("wp.tok", [], "d375eb9a7f489c3d13b45e5b17367b079c157e754947f33705d7a469c9285c58", 6709),
+    "word": ("wp.tok", ["--granularity", "word"],
              "12441192800db10d79b8ad34e326d320ce1c151e1c388675559502dc11d0eedc", 50003),
-    "strip-markers": (["--strip-markers"],
+    "strip-markers": ("wp.tok", ["--strip-markers"],
                       "12731aeda5e6a2b34a60b0d720e0d5801a020e7f64ac3e755cf6bdbc2dbcc082", 6709),
+    "ulm": ("ulm.tok", [], "baeb65a46264ceb157baf67f6c4c421f8eb4467a3e961a6a0a9afd1c0fcdbcee", 6709),
 }
 CONTEXTUAL_RUN = ["--algorithm", "wordpiece", "--guidance", "morphpretok-contextual",
                   "--tagged-corpus", str(MINI / "tagged.tsv"), "--lexicon", str(MINI / "lexicon.tsv"),
@@ -163,9 +166,9 @@ def digest_and_lines(path: Path) -> tuple[str, int]:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ENCODINGS))
 def test_golden_encode_output(name, tmp_path):
-    flags, digest, lines = GOLDEN_ENCODINGS[name]
+    artifact, flags, digest, lines = GOLDEN_ENCODINGS[name]
     out = tmp_path / "encoded.txt"
-    assert cli.main(["encode", "--artifact", str(GOLDEN / "wp.tok"), "--input", str(MINI / "corpus.txt"),
+    assert cli.main(["encode", "--artifact", str(GOLDEN / artifact), "--input", str(MINI / "corpus.txt"),
                      "--lexicon", str(MINI / "lexicon.tsv"), "--output", str(out), *flags]) == 0
     assert digest_and_lines(out) == (digest, lines)
 
