@@ -9,6 +9,7 @@ through each consumer.
 
 import dataclasses
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -144,14 +145,21 @@ def test_every_field_reaches_header_digest_and_cli(algorithm, tmp_path, monkeypa
 # memo of each word's output text: the bundled corpus through wp.tok, and the
 # tagged corpus through a contextual artifact trained with CONTEXTUAL_RUN;
 # "ulm" (the bundled corpus through ulm.tok) was recorded before the ULM
-# lattice core was unified
+# lattice core was unified, and the two "unseen" entries (`unseen_text`) before
+# both decoders walked a prefix trie
 GOLDEN_ENCODINGS = {
-    "sentence": ("wp.tok", [], "d375eb9a7f489c3d13b45e5b17367b079c157e754947f33705d7a469c9285c58", 6709),
-    "word": ("wp.tok", ["--granularity", "word"],
+    "sentence": ("wp.tok", "corpus", [],
+                 "d375eb9a7f489c3d13b45e5b17367b079c157e754947f33705d7a469c9285c58", 6709),
+    "word": ("wp.tok", "corpus", ["--granularity", "word"],
              "12441192800db10d79b8ad34e326d320ce1c151e1c388675559502dc11d0eedc", 50003),
-    "strip-markers": ("wp.tok", ["--strip-markers"],
+    "strip-markers": ("wp.tok", "corpus", ["--strip-markers"],
                       "12731aeda5e6a2b34a60b0d720e0d5801a020e7f64ac3e755cf6bdbc2dbcc082", 6709),
-    "ulm": ("ulm.tok", [], "baeb65a46264ceb157baf67f6c4c421f8eb4467a3e961a6a0a9afd1c0fcdbcee", 6709),
+    "ulm": ("ulm.tok", "corpus", [],
+            "baeb65a46264ceb157baf67f6c4c421f8eb4467a3e961a6a0a9afd1c0fcdbcee", 6709),
+    "wp-unseen": ("wp.tok", "unseen", [],
+                  "b56ae1352a418aeb0049db399488eb603ef8e2932b4093250b3ad7da4f4cc117", 402),
+    "ulm-unseen": ("ulm.tok", "unseen", [],
+                   "47b27b787f05005c3ec645bbd575c97f77a50e2984b824a2d7e7d0562e247b78", 402),
 }
 CONTEXTUAL_RUN = ["--algorithm", "wordpiece", "--guidance", "morphpretok-contextual",
                   "--tagged-corpus", str(MINI / "tagged.tsv"), "--lexicon", str(MINI / "lexicon.tsv"),
@@ -164,11 +172,44 @@ def digest_and_lines(path: Path) -> tuple[str, int]:
     return hashlib.sha256(data).hexdigest(), data.count(b"\n")
 
 
+def unseen_text(seed: int = 6) -> str:
+    """Text whose words the golden artifacts mostly never saw: syllable
+    words, words with a character outside every vocabulary ("ж"), tie-rich
+    "amam..." repeats, a few known and "@"-bearing words, and two words of
+    more than 2,000 characters, so decoding walks far past any entry."""
+    rng = random.Random(seed)
+    syllables = ["por", "ta", "mus", "am", "at", "as", "tu", "so", "ra", "um", "pa", "mo", "sa", "rum", "os"]
+    lines = []
+    for _ in range(400):
+        words = []
+        for _ in range(rng.randint(1, 12)):
+            word = "".join(rng.choice(syllables) for _ in range(rng.randint(1, 6)))
+            kind = rng.random()
+            if kind < 0.05:
+                cut = rng.randint(0, len(word))
+                word = word[:cut] + "ж" + word[cut:]
+            elif kind < 0.15:
+                word = "am" * rng.randint(1, 40) + rng.choice(["", "a", "at", "us", "m"])
+            elif kind < 0.2:
+                word = rng.choice(["portas", "portat", "portamus", "amat", "amamus"])
+            elif kind < 0.22:
+                word = word + "@" + rng.choice(syllables)
+            words.append(word)
+        lines.append(" ".join(words))
+    lines.append("".join(rng.choice(syllables) for _ in range(900)))
+    lines.append("am" * 1100 + "a")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_ENCODINGS))
 def test_golden_encode_output(name, tmp_path):
-    artifact, flags, digest, lines = GOLDEN_ENCODINGS[name]
+    artifact, source, flags, digest, lines = GOLDEN_ENCODINGS[name]
+    text = MINI / "corpus.txt"
+    if source == "unseen":
+        text = tmp_path / "unseen.txt"
+        text.write_text(unseen_text(), encoding="utf-8")
     out = tmp_path / "encoded.txt"
-    assert cli.main(["encode", "--artifact", str(GOLDEN / artifact), "--input", str(MINI / "corpus.txt"),
+    assert cli.main(["encode", "--artifact", str(GOLDEN / artifact), "--input", str(text),
                      "--lexicon", str(MINI / "lexicon.tsv"), "--output", str(out), *flags]) == 0
     assert digest_and_lines(out) == (digest, lines)
 
