@@ -14,7 +14,8 @@ import sys
 from . import artifacts, evaluation, presegment, ulm, wordpiece
 from .corpus import (
     DEFAULT_DELIMITER,
-    escape_delimiter,
+    corpus_sentences,
+    decode_lines,
     load_corpus,
     load_gold_set,
     load_lexicon,
@@ -264,16 +265,6 @@ def cmd_presegment(args) -> int:
 ENCODE_MEMO_CAP = 1 << 16
 
 
-def _stdin_sentences(lowercase: bool, delimiter: str):
-    """Sentences of (word, None) from stdin, read one line at a time."""
-    for line in sys.stdin:
-        words = line.split()
-        if words:
-            if lowercase:
-                words = [w.lower() for w in words]
-            yield [(escape_delimiter(w, delimiter), None) for w in words]
-
-
 def _artifact_lexicon(path, model, loaded: dict):
     """The lexicon at `path`, read with the delimiter `model` presegments
     with; `loaded` keeps one per delimiter."""
@@ -292,16 +283,15 @@ def cmd_encode(args) -> int:
 
     delimiter = model.config.morph_delimiter or DEFAULT_DELIMITER
     streaming = args.input == "-"
-    if streaming and args.tagged:  # a blank line ends each sentence
-        lines = enumerate(sys.stdin, start=1)
-        sentences = tagged_sentences(lines, "<stdin>", args.lowercase, delimiter)
-    elif args.tagged:
-        sentences = load_tagged_corpus(args.input, args.lowercase, delimiter).sentences
-    elif streaming:
-        sentences = _stdin_sentences(args.lowercase, delimiter)
+    if streaming:  # one line at a time, decoded as strictly as a file
+        lines = decode_lines((raw.rstrip(b"\n") for raw in sys.stdin.buffer), "<stdin>")
+    if args.tagged:  # a blank line ends each sentence
+        sentences = (tagged_sentences(lines, "<stdin>", args.lowercase, delimiter) if streaming
+                     else load_tagged_corpus(args.input, args.lowercase, delimiter).sentences)
     else:
-        corpus = load_corpus(args.input, args.lowercase, delimiter)
-        sentences = ([(w, None) for w in s] for s in corpus.sentences)
+        words = (corpus_sentences(lines, args.lowercase, delimiter) if streaming
+                 else load_corpus(args.input, args.lowercase, delimiter).sentences)
+        sentences = ([(w, None) for w in s] for s in words)
 
     # a word's output text depends only on (word, tag); every word yields at
     # least one piece, so a line is its words' texts joined with spaces
@@ -313,7 +303,8 @@ def cmd_encode(args) -> int:
             pieces = encoder(*token)
             if args.strip_markers:
                 pieces = ["".join(normalize_pieces(pieces))]
-            text = " ".join(unescape_delimiter(p, delimiter) for p in pieces)
+            # the joining spaces neither form nor split an escaped delimiter
+            text = unescape_delimiter(" ".join(pieces), delimiter)
             if len(memo) < ENCODE_MEMO_CAP:
                 memo[token] = text
         return text

@@ -73,17 +73,36 @@ def morph_segments(word: str, delimiter: str | None, task: str) -> list[str]:
     return segments
 
 
-def _iter_lines(path):
-    """Yield (lineno, text) pairs, decoding per line so errors carry a location."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+def prefix_trie(entries, prefix: str = "") -> dict:
+    """Prefix trie of the entries that start with `prefix`, keyed by the rest:
+    nested dicts keyed by character; the node that completes an entry holds
+    it under the key ""."""
+    root: dict = {}
+    cut = len(prefix)
+    for entry in entries:
+        if entry.startswith(prefix):
+            node = root
+            for ch in entry[cut:]:
+                node = node.setdefault(ch, {})
+            node[""] = entry
+    return root
+
+
+def decode_lines(raw_lines, source):
+    """Yield (lineno, text) pairs from byte lines without their "\\n",
+    decoding per line so errors carry a location in `source`."""
+    for lineno, raw in enumerate(raw_lines, start=1):
         if raw.endswith(b"\r"):
             raw = raw[:-1]
         try:
             yield lineno, raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise loader_error(path, lineno, f"invalid UTF-8 ({exc.reason})") from None
+            raise loader_error(source, lineno, f"invalid UTF-8 ({exc.reason})") from None
+
+
+def _iter_lines(path):
+    with open(path, "rb") as fh:
+        return decode_lines(fh.read().split(b"\n"), path)
 
 
 @dataclass
@@ -116,15 +135,17 @@ def load_corpus(path, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITE
     characters are escaped. Blank lines are skipped; an empty file gives
     a corpus with zero sentences.
     """
-    sentences = []
-    for _, line in _iter_lines(path):
+    return Corpus(list(corpus_sentences(_iter_lines(path), lowercase, delimiter)))
+
+
+def corpus_sentences(lines, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITER):
+    """Sentences of words from ``(lineno, text)`` pairs, as :func:`load_corpus` reads them."""
+    for _, line in lines:
         words = line.split()
-        if not words:
-            continue
-        if lowercase:
-            words = [w.lower() for w in words]
-        sentences.append([escape_delimiter(w, delimiter) for w in words])
-    return Corpus(sentences)
+        if words:
+            if lowercase:
+                words = [w.lower() for w in words]
+            yield [escape_delimiter(w, delimiter) for w in words]
 
 
 @dataclass

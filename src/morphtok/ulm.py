@@ -13,8 +13,9 @@ single characters are never pruned so every training word stays
 segmentable.
 
 One lattice core serves decoding, EM and both pruning utilities:
-`_lattice` builds a unit's segmentation lattice, `_viterbi` scores its
-best path and `_forward`/`_backward` its marginals.
+`_lattice` builds a unit's segmentation lattice from the vocabulary's
+prefix trie (`corpus.prefix_trie`), `_viterbi` scores its best path and
+`_forward`/`_backward` its marginals.
 
 With a morph delimiter configured, words split into morpheme segments
 and each segment gets its own lattice, so no piece ever spans a
@@ -27,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import UNK_TOKEN, Corpus, morph_segments
+from .corpus import UNK_TOKEN, Corpus, morph_segments, prefix_trie
 
 NEG_INF = float("-inf")
 
@@ -60,7 +61,7 @@ class UlmVocabulary:
     protected: frozenset[str] = frozenset()
     boost: float = 0.0
     unk_token: str = UNK_TOKEN
-    _max_len: int | None = field(default=None, init=False, repr=False, compare=False)
+    _trie: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __contains__(self, piece: str) -> bool:
         return piece in self.log_probs
@@ -68,17 +69,23 @@ class UlmVocabulary:
     def __len__(self) -> int:
         return len(self.log_probs)
 
-    def max_piece_length(self) -> int:
-        if self._max_len is None:
-            self._max_len = max((len(p) for p in self.log_probs), default=0)
-        return self._max_len
+    def trie(self) -> dict:
+        """Prefix trie of the entries (see :func:`morphtok.corpus.prefix_trie`)."""
+        if self._trie is None:
+            self._trie = prefix_trie(self.log_probs)
+        return self._trie
 
 
 def _logsumexp(values: list[float]) -> float:
     m = max(values)
     if m == NEG_INF:
         return NEG_INF
-    return m + math.log(sum(math.exp(v - m) for v in values))
+    # left to right, so the sum rounds alike on every Python: from 3.12 on,
+    # builtin sum() compensates float rounding
+    total = 0.0
+    for v in values:
+        total += math.exp(v - m)
+    return m + math.log(total)
 
 
 def _split_units(word_freqs, morph_delimiter: str | None) -> Counter:
@@ -90,18 +97,22 @@ def _split_units(word_freqs, morph_delimiter: str | None) -> Counter:
     return units
 
 
-def _lattice(unit: str, pieces, max_len: int) -> list[list[tuple[int, str]]]:
+def _lattice(unit: str, trie: dict) -> list[list[tuple[int, str]]]:
     """Segmentation lattice of a unit, one row per character: row i lists
-    the edges (end, piece) that start at position i, shortest first."""
+    the edges (end, piece) that start at position i, shortest first, found
+    by walking the vocabulary's prefix trie from i."""
     n = len(unit)
-    out: list[list[tuple[int, str]]] = [[] for _ in range(n)]
+    out: list[list[tuple[int, str]]] = []
     for i in range(n):
-        top = min(i + max_len, n)
-        row = out[i]
-        for j in range(i + 1, top + 1):
-            piece = unit[i:j]
-            if piece in pieces:
-                row.append((j, piece))
+        row = []
+        node = trie
+        for j in range(i, n):
+            node = node.get(unit[j])
+            if node is None:
+                break
+            if "" in node:
+                row.append((j + 1, node[""]))
+        out.append(row)
     return out
 
 
@@ -149,10 +160,10 @@ def ulm_encode(word: str, vocab: UlmVocabulary, morph_delimiter: str | None = No
     to the unknown token. Protected entries receive the vocabulary's
     boost on their lattice edges."""
     log_probs = vocab.log_probs
-    max_len = vocab.max_piece_length()
+    trie = vocab.trie()
     pieces: list[str] = []
     for seg in morph_segments(word, morph_delimiter, "encode"):
-        res = _viterbi(_lattice(seg, log_probs, max_len), log_probs, vocab.protected, vocab.boost)
+        res = _viterbi(_lattice(seg, trie), log_probs, vocab.protected, vocab.boost)
         if res is None:
             return [vocab.unk_token]
         pieces.extend(res[2])
@@ -198,8 +209,8 @@ def _expected_counts(unit_counts, log_probs, lattices=None):
     latter contribute nothing to counts and stand for UNK fallbacks.
     """
     if lattices is None:
-        max_len = max(map(len, log_probs), default=0)
-        lattices = {unit: _lattice(unit, log_probs, max_len) for unit in unit_counts}
+        trie = prefix_trie(log_probs)
+        lattices = {unit: _lattice(unit, trie) for unit in unit_counts}
     counts = {p: 0.0 for p in log_probs}
     ll = 0.0
     unk: list[str] = []
@@ -287,11 +298,11 @@ def _seed_log_probs(unit_counts, cfg: UlmTrainerConfig, protected) -> dict[str, 
     return {p: math.log(w) - log_total for p, w in weights.items()}
 
 
-def _approximate_utilities(prunable, unit_counts, lattices, log_probs):
+def _approximate_utilities(prunable, unit_counts, lattices, trie, log_probs):
     """Likelihood loss if an entry is removed, under current Viterbi segmentations.
 
     usage(p) * (logprob(p) - best alternative for p's string); unused
-    entries cost nothing to remove.
+    entries cost nothing to remove. `trie` holds the entries of `log_probs`.
     """
     usage: Counter = Counter()
     for unit, freq in unit_counts.items():
@@ -300,14 +311,13 @@ def _approximate_utilities(prunable, unit_counts, lattices, log_probs):
             continue
         for piece in res[2]:
             usage[piece] += freq
-    max_len = max(map(len, log_probs))
     utilities = {}
     for p in prunable:
         f = usage.get(p, 0)
         if f == 0:
             utilities[p] = 0.0
             continue
-        lattice = _lattice(p, log_probs, max_len)
+        lattice = _lattice(p, trie)
         lattice[0].pop()  # p's own edge, the longest from position 0
         alt = _viterbi(lattice, log_probs)
         utilities[p] = math.inf if alt is None else f * (log_probs[p] - alt[0])
@@ -340,7 +350,7 @@ def _exact_utilities(prunable, unit_counts, lattices, log_probs):
     return utilities
 
 
-def _prune(log_probs, unit_counts, lattices, cfg: UlmTrainerConfig, exempt):
+def _prune(log_probs, unit_counts, lattices, trie, cfg: UlmTrainerConfig, exempt):
     overshoot = len(log_probs) - cfg.vocab_size
     if overshoot <= 0:
         return log_probs
@@ -352,7 +362,7 @@ def _prune(log_probs, unit_counts, lattices, cfg: UlmTrainerConfig, exempt):
     if cfg.exact_pruning:
         utilities = _exact_utilities(prunable, unit_counts, lattices, log_probs)
     else:
-        utilities = _approximate_utilities(prunable, unit_counts, lattices, log_probs)
+        utilities = _approximate_utilities(prunable, unit_counts, lattices, trie, log_probs)
     drop = set(sorted(prunable, key=lambda p: (utilities[p], p))[:k])
     return {p: lp for p, lp in log_probs.items() if p not in drop}
 
@@ -377,14 +387,14 @@ def ulm_train(corpus: Corpus, cfg: UlmTrainerConfig) -> UlmVocabulary:
         )
 
     log_probs = _seed_log_probs(unit_counts, cfg, protected)
-    while True:  # a round's lattices serve its EM steps and its pruning
-        max_len = max(map(len, log_probs))
-        lattices = {unit: _lattice(unit, log_probs, max_len) for unit in unit_counts}
+    while True:  # a round's trie and lattices serve its EM steps and its pruning
+        trie = prefix_trie(log_probs)  # EM keeps every key, so it fits all round
+        lattices = {unit: _lattice(unit, trie) for unit in unit_counts}
         for _ in range(cfg.em_iterations_per_round):
             log_probs, _, _ = _em_step_units(unit_counts, log_probs, lattices)
         if len(log_probs) <= cfg.vocab_size:
             break
-        log_probs = _prune(log_probs, unit_counts, lattices, cfg, exempt)
+        log_probs = _prune(log_probs, unit_counts, lattices, trie, cfg, exempt)
 
     boost = cfg.seed_weight if protected else 0.0
     return UlmVocabulary(log_probs, frozenset(protected), boost)

@@ -15,6 +15,9 @@ segments first. Segments after the first are symbol-initialized
 entirely in continuation form, so nothing is ever merged across a
 morpheme boundary, and any subword materialized right after a boundary
 enters the vocabulary as a "##" entry.
+
+Encoding finds each longest match by walking a prefix trie of the
+vocabulary (`corpus.prefix_trie`), one character at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .corpus import CONTINUATION_PREFIX, UNK_TOKEN, Corpus, morph_segments
+from .corpus import CONTINUATION_PREFIX, UNK_TOKEN, Corpus, morph_segments, prefix_trie
 
 
 @dataclass
@@ -41,7 +44,7 @@ class WpTrainerConfig:
 class WpVocabulary:
     entries: set[str] = field(default_factory=set)
     unk_token: str = UNK_TOKEN
-    _max_len: int | None = field(default=None, init=False, repr=False, compare=False)
+    _tries: tuple[dict, dict] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __contains__(self, piece: str) -> bool:
         return piece in self.entries
@@ -49,15 +52,17 @@ class WpVocabulary:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def max_body_length(self) -> int:
-        """Length of the longest entry, not counting a "##" prefix."""
-        if self._max_len is None:
-            self._max_len = max((len(_body(e)) for e in self.entries), default=0)
-        return self._max_len
-
-
-def _body(piece: str) -> str:
-    return piece[len(CONTINUATION_PREFIX) :] if piece.startswith(CONTINUATION_PREFIX) else piece
+    def tries(self) -> tuple[dict, dict]:
+        """Prefix tries for the word-initial position and for later ones ("##"
+        entries keyed by body). A word may start with "##", so the first
+        trie holds the second under "##" too."""
+        if self._tries is None:
+            continuation = prefix_trie(self.entries, CONTINUATION_PREFIX)
+            initial = prefix_trie(e for e in self.entries if not e.startswith(CONTINUATION_PREFIX))
+            first, second = CONTINUATION_PREFIX
+            initial.setdefault(first, {})[second] = continuation
+            self._tries = (initial, continuation)
+        return self._tries
 
 
 def _word_units(word: str, freq: int, delimiter: str | None):
@@ -90,11 +95,9 @@ def wp_train(corpus: Corpus, cfg: WpTrainerConfig) -> WpVocabulary:
 
     vocab = {UNK_TOKEN}
     for symbols, _ in units:
-        for s in symbols:
-            vocab.add(s)
-            bare = _body(s)
-            vocab.add(bare)
-            vocab.add(CONTINUATION_PREFIX + bare)
+        for s in symbols:  # one character, bare or "##"-prefixed: add both forms
+            vocab.add(s[-1])
+            vocab.add(CONTINUATION_PREFIX + s[-1])
     if cfg.seed_suffixes:
         for suffix in cfg.seed_suffixes:
             vocab.add(CONTINUATION_PREFIX + suffix)
@@ -174,38 +177,36 @@ def wp_train(corpus: Corpus, cfg: WpTrainerConfig) -> WpVocabulary:
 
 def wp_encode(word: str, vocab: WpVocabulary, morph_delimiter: str | None = None) -> list[str]:
     """Greedy longest-match encoding; an unmatchable position maps the
-    whole word to the unknown token. No match is longer than the longest
-    entry, so each position probes at most that many candidates.
+    whole word to the unknown token. Each match walks a prefix trie and
+    stops at the first character that continues no entry.
 
     The word-initial position matches bare entries, every later position
     matches "##" entries. Delimiter boundaries are hard: each morpheme
     segment is encoded on its own, segments after the first entirely in
     continuation form.
     """
-    entries = vocab.entries
-    max_len = vocab.max_body_length()
+    initial, continuation = vocab.tries()
     pieces = []
     for k, seg in enumerate(morph_segments(word, morph_delimiter, "encode")):
+        whole = CONTINUATION_PREFIX + seg if k else seg
+        if whole in vocab.entries:  # its own longest match: one probe, no walk
+            pieces.append(whole)
+            continue
         n = len(seg)
         i = 0
         while i < n:
-            continuation = k > 0 or i > 0
-            j = i + max_len
-            if j > n:
-                j = n
+            node = continuation if k or i else initial
             match = None
-            while j > i:
-                cand = seg[i:j]
-                if continuation:
-                    cand = CONTINUATION_PREFIX + cand
-                if cand in entries:
-                    match = cand
+            for j in range(i, n):
+                node = node.get(seg[j])
+                if node is None:
                     break
-                j -= 1
+                if "" in node:
+                    match, end = node, j + 1
             if match is None:
                 return [vocab.unk_token]
-            pieces.append(match)
-            i = j
+            pieces.append(match[""])
+            i = end
     return pieces
 
 

@@ -46,6 +46,13 @@ def wp_encode_oracle(word, entries, unk="[UNK]", delimiter=None):
     return out
 
 
+def lattice_oracle(text, vocab):
+    """Every (end, piece) edge from each position of text, shortest first,
+    by slicing every substring."""
+    n = len(text)
+    return [[(j, text[i:j]) for j in range(i + 1, n + 1) if text[i:j] in vocab] for i in range(n)]
+
+
 def enumerate_segmentations(text, vocab):
     """Every tiling of text by vocabulary pieces, in DFS order."""
     results = []

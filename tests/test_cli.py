@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -340,7 +341,7 @@ class TestEncode:
         assert out.read_text(encoding="utf-8") == CORPUS
 
     def test_stdin(self, files, artifact, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("portas amat\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"portas amat\n")))
         code = cli.main(["encode", "--artifact", artifact, "--lexicon", files["lexicon"]])
         assert code == 0
         assert capsys.readouterr().out == "port ##as am ##at\n"
@@ -350,11 +351,11 @@ class TestEncode:
         written_before_second_line = []
 
         def stdin():
-            yield "portas amat\n"
+            yield b"portas amat\n"
             written_before_second_line.append(stdout.getvalue())
-            yield "amat\n"
+            yield b"amat\n"
 
-        monkeypatch.setattr("sys.stdin", stdin())
+        monkeypatch.setattr("sys.stdin", SimpleNamespace(buffer=stdin()))
         monkeypatch.setattr("sys.stdout", stdout)
         assert cli.main(["encode", "--artifact", artifact, "--lexicon", files["lexicon"]]) == 0
         assert written_before_second_line == ["port ##as am ##at\n"]
@@ -365,13 +366,13 @@ class TestEncode:
         written_before_second_sentence = []
 
         def stdin():
-            yield "portas\tVERB\n"
-            yield "amat\tVERB\n"
-            yield "\n"
+            yield b"portas\tVERB\n"
+            yield b"amat\tVERB\n"
+            yield b"\n"
             written_before_second_sentence.append(stdout.getvalue())
-            yield "amat\tVERB\n"
+            yield b"amat\tVERB\n"
 
-        monkeypatch.setattr("sys.stdin", stdin())
+        monkeypatch.setattr("sys.stdin", SimpleNamespace(buffer=stdin()))
         monkeypatch.setattr("sys.stdout", stdout)
         args = ["encode", "--artifact", artifact, "--lexicon", files["lexicon"], "--tagged"]
         assert cli.main(args) == 0
@@ -379,12 +380,26 @@ class TestEncode:
         assert stdout.getvalue() == "port ##as am ##at\nam ##at\n"
 
     def test_tagged_stdin_error_is_located(self, files, artifact, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO("portas\tVERB\n\namat\tVERBISH\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"portas\tVERB\n\namat\tVERBISH\n")))
         args = ["encode", "--artifact", artifact, "--lexicon", files["lexicon"], "--tagged"]
         assert cli.main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == "port ##as\n"
         assert "error: <stdin>:3: unknown UD POS tag: 'VERBISH'" in captured.err
+
+    @pytest.mark.parametrize("tagged, text", [
+        (False, b"portas amat\nport\xffas amat\n"),
+        (True, b"portas\tVERB\n\nport\xffas\tVERB\n"),
+    ])
+    def test_invalid_utf8_on_stdin_is_located(self, files, artifact, monkeypatch, capsys, tagged, text):
+        # the same bytes from --input fail alike; stdin must not encode them as [UNK]
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text)))
+        args = ["encode", "--artifact", artifact, "--lexicon", files["lexicon"]]
+        assert cli.main(args + ["--tagged"] * tagged) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ("port ##as\n" if tagged else "port ##as am ##at\n")
+        lineno = 3 if tagged else 2
+        assert f"error: <stdin>:{lineno}: invalid UTF-8" in captured.err
 
     def test_stdin_pipe_answers_each_line(self, files, artifact):
         # a caller may wait for each line's encoding before sending the next

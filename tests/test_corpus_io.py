@@ -40,6 +40,12 @@ class TestEscaping:
     def test_round_trip(self, text):
         assert unescape_delimiter(escape_delimiter(text, "@"), "@") == text
 
+    @given(st.lists(st.text(alphabet="a\\@#", max_size=6), min_size=1, max_size=6), st.sampled_from("@#"))
+    def test_unescaping_joined_pieces_unescapes_each(self, pieces, delimiter):
+        # `encode` unescapes a word's pieces once, after joining them with spaces
+        expected = " ".join(unescape_delimiter(p, delimiter) for p in pieces)
+        assert unescape_delimiter(" ".join(pieces), delimiter) == expected
+
     def test_split_skips_escaped(self):
         assert split_on_delimiter("a\\@b@c", "@") == ["a\\@b", "c"]
 

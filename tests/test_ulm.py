@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphtok.corpus import Corpus
+from morphtok.corpus import Corpus, prefix_trie
 from morphtok.ulm import (
     UlmTrainerConfig,
     UlmVocabulary,
+    _lattice,
+    _logsumexp,
     corpus_log_likelihood,
     em_step,
     ulm_encode,
@@ -19,7 +21,7 @@ from morphtok.ulm import (
     ulm_train,
 )
 
-from oracles import em_step_oracle, viterbi_oracle
+from oracles import em_step_oracle, lattice_oracle, viterbi_oracle
 
 UNK = "[UNK]"
 
@@ -133,6 +135,33 @@ class TestViterbiOracle:
         expected = viterbi_oracle(word, log_probs)
         got = ulm_encode(word, vocab)
         assert got == (expected if expected is not None else [UNK])
+
+
+@st.composite
+def pieces_and_unit(draw):
+    """Pieces that share prefixes, some longer than the unit, over an
+    alphabet with non-ASCII characters."""
+    alphabet = "abéж"
+    stems = draw(st.lists(st.text(alphabet=alphabet, min_size=1, max_size=8), min_size=1, max_size=5))
+    pieces = {stem[:k] for stem in stems for k in range(1, len(stem) + 1) if draw(st.booleans())}
+    pieces |= draw(st.sets(st.text(alphabet=alphabet, min_size=1, max_size=3), max_size=8))
+    return pieces, draw(st.text(alphabet=alphabet, min_size=1, max_size=6))
+
+
+class TestLattice:
+    @given(pieces_and_unit())
+    @settings(max_examples=300)
+    def test_trie_walk_matches_slicing(self, case):
+        pieces, unit = case
+        assert _lattice(unit, prefix_trie(pieces)) == lattice_oracle(unit, pieces)
+
+
+class TestLogSumExp:
+    def test_sums_left_to_right(self):
+        # each small term is below half an ulp of 1.0, so a plain left-to-right
+        # sum drops both where a compensated one (builtin sum from Python 3.12)
+        # keeps their total
+        assert _logsumexp([0.0, -36.84, -36.84]) == 0.0
 
 
 class TestMarginalCounts:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphtok.corpus import Corpus
+from morphtok import wordpiece
+from morphtok.corpus import Corpus, prefix_trie
 from morphtok.wordpiece import WpTrainerConfig, WpVocabulary, wp_encode, wp_train
 
 from oracles import strip_markers, wp_encode_oracle
@@ -195,35 +196,82 @@ class TestEncodeOracle:
         )
 
 
-class ProbeCountingSet(set):
-    """A vocabulary entry set that counts membership probes."""
+@st.composite
+def trie_vocab_and_word(draw):
+    """Entries that share prefixes, some longer than the word, over an
+    alphabet with non-ASCII characters and "#", so a word may itself start
+    with "##"."""
+    alphabet = "abé#"
+    stems = draw(st.lists(st.text(alphabet=alphabet, min_size=1, max_size=8), min_size=1, max_size=5))
+    entries = {"[UNK]"}
+    for stem in stems:
+        for k in range(1, len(stem) + 1):
+            if draw(st.booleans()):
+                entries.add(stem[:k])
+            if draw(st.booleans()):
+                entries.add("##" + stem[:k])
+    return entries, draw(st.text(alphabet=alphabet, min_size=1, max_size=6))
 
-    probes = 0
 
-    def __contains__(self, piece):
-        self.probes += 1
-        return super().__contains__(piece)
+class TestTrieWalk:
+    @given(trie_vocab_and_word(), st.booleans())
+    @settings(max_examples=300)
+    def test_matches_reference(self, case, delimited):
+        entries, word = case
+        vocab = WpVocabulary(entries=entries)
+        if delimited:
+            word = word + "@" + word
+        delimiter = "@" if delimited else None
+        assert wp_encode(word, vocab, delimiter) == wp_encode_oracle(word, entries, delimiter=delimiter)
+
+
+class StepCountingDict(dict):
+    """A trie node that counts child lookups in `steps`, a one-item list
+    shared by every node of its trie."""
+
+    def get(self, key, default=None):
+        if key:
+            self.steps[0] += 1
+        return super().get(key, default)
+
+
+def counting(node, steps):
+    out = StepCountingDict({k: v if k == "" else counting(v, steps) for k, v in node.items()})
+    out.steps = steps
+    return out
+
+
+def trie_depth(node):
+    return max((1 + trie_depth(child) for key, child in node.items() if key), default=0)
 
 
 class TestLongWords:
-    def test_probes_bounded_by_longest_entry(self):
-        # every position probes at most max_len candidates (plus the one that
-        # ends the walk), so a long word costs time linear in its length
+    def test_probes_bounded_by_longest_entry(self, monkeypatch):
+        # each match walks at most `depth` characters deep (plus the lookup
+        # that ends the walk), so a long word costs time linear in its length
         rng = random.Random(0)
         bodies = ["".join(p) for n in range(1, 7) for p in itertools.product("ab", repeat=n)]
         entries = {"[UNK]", "a", "b", "##a", "##b"}
         entries |= {b for b in bodies if rng.random() < 0.5}
         entries |= {"##" + b for b in bodies if rng.random() < 0.7}
         word = "".join(rng.choice("ab") for _ in range(4000))
-        vocab = WpVocabulary(entries=ProbeCountingSet(entries))
-        assert vocab.max_body_length() == 6
+        steps = [0]
+        monkeypatch.setattr(wordpiece, "prefix_trie", lambda *args: counting(prefix_trie(*args), steps))
+        vocab = WpVocabulary(entries=entries)
+        initial, continuation = vocab.tries()
+        depth = 6
+        assert trie_depth(continuation) == depth
+        assert trie_depth(initial["a"]) < depth and trie_depth(initial["b"]) < depth
 
         pieces = wp_encode(word, vocab)
-        assert vocab.entries.probes <= len(word) * (vocab.max_body_length() + 1)
+        assert 0 < steps[0] <= len(word) * (depth + 1)
         assert pieces == wp_encode_oracle(word, entries)
         assert "".join(strip_markers(pieces)) == word
 
-    def test_max_body_length_ignores_continuation_prefix(self):
-        vocab = WpVocabulary(entries={"[UNK]", "ab", "##abc"})
-        assert vocab.max_body_length() == 5  # "[UNK]"
-        assert WpVocabulary(entries={"ab", "##abc"}).max_body_length() == 3
+    def test_continuation_entries_keyed_by_body(self):
+        initial, continuation = WpVocabulary(entries={"[UNK]", "ab", "##abc"}).tries()
+        assert continuation == {"a": {"b": {"c": {"": "##abc"}}}}
+        # the word-initial trie holds every entry under its full text
+        assert initial["a"]["b"][""] == "ab"
+        assert initial["#"]["#"] is continuation
+        assert initial["["]["U"]["N"]["K"]["]"][""] == "[UNK]"
