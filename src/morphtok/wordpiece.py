@@ -185,13 +185,13 @@ def wp_encode(word: str, vocab: WpVocabulary, morph_delimiter: str | None = None
     segment is encoded on its own, segments after the first entirely in
     continuation form.
     """
-    initial, continuation = vocab.tries()
     pieces = []
     for k, seg in enumerate(morph_segments(word, morph_delimiter, "encode")):
         whole = CONTINUATION_PREFIX + seg if k else seg
         if whole in vocab.entries:  # its own longest match: one probe, no walk
             pieces.append(whole)
             continue
+        initial, continuation = vocab.tries()  # built on the first walk
         n = len(seg)
         i = 0
         while i < n:
