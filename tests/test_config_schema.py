@@ -175,8 +175,8 @@ def digest_and_lines(path: Path) -> tuple[str, int]:
 def unseen_text(seed: int = 6) -> str:
     """Text whose words the golden artifacts mostly never saw: syllable
     words, words with a character outside every vocabulary ("ж"), tie-rich
-    "amam..." repeats, a few known and "@"-bearing words, and two words of
-    more than 2,000 characters, so decoding walks far past any entry."""
+    "amam..." repeats, a few known and "@"-bearing words, and two long words
+    (1,961 and 2,201 characters), so decoding walks far past any entry."""
     rng = random.Random(seed)
     syllables = ["por", "ta", "mus", "am", "at", "as", "tu", "so", "ra", "um", "pa", "mo", "sa", "rum", "os"]
     lines = []
