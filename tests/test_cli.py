@@ -135,14 +135,33 @@ class TestTrain:
         )
         assert code == 2
 
-    def test_suffixes_with_baseline_warns_and_ignores(self, files, capsys):
-        out = str(files["dir"] / "wp.tok")
-        code = cli.main(train_args(files, out) + ["--suffixes", files["suffixes"]])
-        assert code == 0
-        assert "ignored" in capsys.readouterr().err
-        model = artifacts.load_tokenizer(out)
-        assert "##amus" not in model.vocab.entries or True  # vocab may derive it by merges
-        assert model.guidance == "baseline"
+    def test_suffixes_with_baseline_warns_and_ignores(self, tmp_path, capsys):
+        # an ignored suffix list leaves the artifact as it is without one
+        args = ["train", "--algorithm", "wordpiece", "--corpus", str(MINI / "corpus.txt"),
+                "--vocab-size", "300", "--output"]
+        with_suffixes, without = tmp_path / "with.tok", tmp_path / "without.tok"
+        assert cli.main(args + [str(with_suffixes), "--suffixes", str(MINI / "suffixes.txt")]) == 0
+        assert "--suffixes is ignored with guidance 'baseline'" in capsys.readouterr().err
+        assert cli.main(args + [str(without)]) == 0
+        assert with_suffixes.read_bytes() == without.read_bytes()
+        assert artifacts.load_tokenizer(with_suffixes).guidance == "baseline"
+
+    @pytest.mark.parametrize("guidance", ["morphpretok-acontextual", "morphpretok-contextual"])
+    def test_pretok_without_lexicon_is_input_error(self, files, capsys, guidance):
+        out = files["dir"] / "wp.tok"
+        code = cli.main(["train", "--algorithm", "wordpiece", "--guidance", guidance,
+                         "--corpus", files["corpus"], "--tagged-corpus", files["tagged"],
+                         "--output", str(out), "--vocab-size", "40"])
+        assert code == 2
+        assert f"guidance '{guidance}' requires --lexicon" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_without_corpus_is_input_error(self, files, capsys):
+        out = files["dir"] / "wp.tok"
+        code = cli.main(["train", "--algorithm", "wordpiece", "--output", str(out)])
+        assert code == 2
+        assert "--corpus" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_vocab_too_small_is_input_error(self, files):
         out = str(files["dir"] / "wp.tok")
@@ -282,6 +301,16 @@ class TestPresegment:
              "--lexicon", files["lexicon"], "--output", str(files["dir"] / "x.txt")]
         )
         assert code == 2
+
+    def test_acontextual_needs_corpus(self, files, capsys):
+        out = files["dir"] / "x.txt"
+        code = cli.main(
+            ["presegment", "--mode", "acontextual", "--tagged-corpus", files["tagged"],
+             "--lexicon", files["lexicon"], "--output", str(out)]
+        )
+        assert code == 2
+        assert "--corpus" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_escape_delimiter_rejected(self, files, capsys):
         code = cli.main(
