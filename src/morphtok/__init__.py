@@ -4,152 +4,16 @@ Two trainable tokenizers (WordPiece and unigram language model), three
 guidance modes that inject morphological analyses into training
 (vocabulary seeding, acontextual and contextual presegmentation), and a
 segmentation-quality evaluation harness.
+
+The submodules are the API; import from them, not from this package:
+
+- ``corpus``: input file loaders, sampling and delimiter escaping
+- ``morphology``: POS mapping and analysis disambiguation
+- ``presegment``: morpheme presegmentation of corpora and words
+- ``wordpiece``, ``ulm``: trainers, vocabularies and encoders
+- ``artifacts``: guidance modes, artifact save/load, encode pipelines
+- ``evaluation``: segmentation metrics against gold sets
+- ``cli``: the ``morphtok`` command
 """
 
-from .artifacts import (
-    GUIDANCE_MODES,
-    config_digest,
-    load_tokenizer,
-    model_kind,
-    save_tokenizer,
-    word_encoder,
-)
-from .corpus import (
-    CONTINUATION_PREFIX,
-    DEFAULT_DELIMITER,
-    UNK_TOKEN,
-    Corpus,
-    GoldItem,
-    GoldSegmentationSet,
-    MorphLexicon,
-    TaggedCorpus,
-    escape_delimiter,
-    load_corpus,
-    load_gold_set,
-    load_lexicon,
-    load_suffixes,
-    load_tagged_corpus,
-    sample_sentences,
-    split_on_delimiter,
-    unescape_delimiter,
-)
-from .errors import LoaderError
-from .evaluation import (
-    EvalReport,
-    boundaries,
-    boundary_prf,
-    build_gold_set,
-    evaluate,
-    exact_match,
-    fertility,
-    format_comparison,
-    morphscore,
-    normalize_pieces,
-    piece_overlap_prf,
-)
-from .morphology import (
-    ANALYZER_TAGS,
-    DEFAULT_POS_MAPPING,
-    UD_TAGS,
-    DisambiguationOutcome,
-    DisambiguationRule,
-    MorphAnalysis,
-    acontextual_choice,
-    disambiguate,
-    load_pos_mapping,
-    map_pos,
-)
-from .presegment import (
-    PresegmentedCorpus,
-    PresegStats,
-    presegment_acontextual,
-    presegment_contextual,
-    presegment_word,
-    strip_delimiters,
-)
-from .ulm import (
-    UlmTokenizer,
-    UlmTrainerConfig,
-    UlmVocabulary,
-    corpus_log_likelihood,
-    em_step,
-    ulm_encode,
-    ulm_marginal_counts,
-    ulm_train,
-)
-from .wordpiece import (
-    WordPieceTokenizer,
-    WpTrainerConfig,
-    WpVocabulary,
-    wp_encode,
-    wp_train,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ANALYZER_TAGS",
-    "CONTINUATION_PREFIX",
-    "Corpus",
-    "DEFAULT_DELIMITER",
-    "DEFAULT_POS_MAPPING",
-    "DisambiguationOutcome",
-    "DisambiguationRule",
-    "EvalReport",
-    "GUIDANCE_MODES",
-    "GoldItem",
-    "GoldSegmentationSet",
-    "LoaderError",
-    "MorphAnalysis",
-    "MorphLexicon",
-    "PresegStats",
-    "PresegmentedCorpus",
-    "TaggedCorpus",
-    "UD_TAGS",
-    "UNK_TOKEN",
-    "UlmTokenizer",
-    "UlmTrainerConfig",
-    "UlmVocabulary",
-    "WordPieceTokenizer",
-    "WpTrainerConfig",
-    "WpVocabulary",
-    "acontextual_choice",
-    "boundaries",
-    "boundary_prf",
-    "build_gold_set",
-    "config_digest",
-    "corpus_log_likelihood",
-    "disambiguate",
-    "em_step",
-    "escape_delimiter",
-    "evaluate",
-    "exact_match",
-    "fertility",
-    "format_comparison",
-    "load_corpus",
-    "load_gold_set",
-    "load_lexicon",
-    "load_pos_mapping",
-    "load_suffixes",
-    "load_tagged_corpus",
-    "load_tokenizer",
-    "map_pos",
-    "model_kind",
-    "morphscore",
-    "normalize_pieces",
-    "piece_overlap_prf",
-    "presegment_acontextual",
-    "presegment_contextual",
-    "presegment_word",
-    "sample_sentences",
-    "save_tokenizer",
-    "split_on_delimiter",
-    "strip_delimiters",
-    "ulm_encode",
-    "ulm_marginal_counts",
-    "ulm_train",
-    "unescape_delimiter",
-    "word_encoder",
-    "wp_encode",
-    "wp_train",
-]

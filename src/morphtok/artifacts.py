@@ -33,20 +33,20 @@ import warnings
 
 from .corpus import DEFAULT_DELIMITER, MorphLexicon
 from .errors import LoaderError
-from .presegment import presegment_word
+from .presegment import ACONTEXTUAL, CONTEXTUAL, presegment_word
 from .ulm import UlmTokenizer, UlmTrainerConfig, UlmVocabulary
 from .wordpiece import WordPieceTokenizer, WpTrainerConfig, WpVocabulary
 
 FORMAT_VERSION = "morphtok tokenizer v1"
 SEPARATOR = "# ---"
 
-GUIDANCE_MODES = (
-    "baseline",
-    "morphseed",
-    "morphpretok-acontextual",
-    "morphpretok-contextual",
-)
-PRETOK_MODES = ("morphpretok-acontextual", "morphpretok-contextual")
+# each guidance mode -> the presegmentation it trains and encodes with
+GUIDANCE_MODES = {
+    "baseline": None,
+    "morphseed": None,
+    "morphpretok-acontextual": ACONTEXTUAL,
+    "morphpretok-contextual": CONTEXTUAL,
+}
 CONFIG_CLASSES = {"wordpiece": WpTrainerConfig, "ulm": UlmTrainerConfig}
 
 # header value text of a config field, by field type, and back
@@ -180,17 +180,18 @@ def word_encoder(
     segmentation quality, so a warning is emitted once.
     """
     warn = on_warning or (lambda msg: warnings.warn(msg, stacklevel=3))
-    needs_preseg = model.guidance in PRETOK_MODES
-    if needs_preseg and lexicon is None:
+    mode = GUIDANCE_MODES[model.guidance]
+    if mode and lexicon is None:
         warn(
             f"artifact guidance is {model.guidance!r} but no lexicon was supplied; "
             "encoding raw words without presegmentation"
         )
+    presegments = mode is not None and lexicon is not None
     delimiter = model.config.morph_delimiter
-    contextual = model.guidance == "morphpretok-contextual"
+    contextual = mode == CONTEXTUAL
 
     def encode(word: str, pos: str | None = None) -> list[str]:
-        if needs_preseg and lexicon is not None:
+        if presegments:
             word = presegment_word(
                 word,
                 lexicon,

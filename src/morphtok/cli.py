@@ -16,9 +16,11 @@ from .corpus import (
     DEFAULT_DELIMITER,
     corpus_sentences,
     decode_lines,
+    iter_lines,
     load_corpus,
     load_gold_set,
     load_lexicon,
+    load_pos_mapping,
     load_suffixes,
     load_tagged_corpus,
     sample_sentences,
@@ -27,7 +29,7 @@ from .corpus import (
 )
 from .errors import LoaderError
 from .evaluation import normalize_pieces
-from .morphology import load_pos_mapping
+from .presegment import ACONTEXTUAL, CONTEXTUAL
 
 
 def _parse_bool(value: str) -> bool:
@@ -89,19 +91,18 @@ def _parse_option(key: str, text: str, where: str):
 
 def _load_config_file(path) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition(" ")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in TRAIN_OPTIONS:
-                raise LoaderError(f"{path}:{lineno}: unknown config key {key!r}")
-            if not value:
-                raise LoaderError(f"{path}:{lineno}: missing value for {key!r}")
-            values[key] = _parse_option(key, value, f"{path}:{lineno}")
+    for lineno, line in iter_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition(" ")
+        key = key.strip().replace("-", "_")
+        value = value.strip()
+        if key not in TRAIN_OPTIONS:
+            raise LoaderError(f"{path}:{lineno}: unknown config key {key!r}")
+        if not value:
+            raise LoaderError(f"{path}:{lineno}: missing value for {key!r}")
+        values[key] = _parse_option(key, value, f"{path}:{lineno}")
     return values
 
 
@@ -144,16 +145,37 @@ def _load_checked_lexicon(path, delimiter: str, source: str = "--morph-delimiter
     return lexicon
 
 
+def _presegmented_input(args, mode, lexicon, mapping, delimiter, lowercase, fraction=1.0, seed=0):
+    """Load the corpus `mode` reads (``--tagged-corpus`` for contextual
+    presegmentation, else ``--corpus``), sample it and presegment it; mode
+    None leaves it as it is. Returns ``(path, sentences sampled, corpus)``."""
+    if mode == CONTEXTUAL:
+        flag, path, load = "--tagged-corpus", args.tagged_corpus, load_tagged_corpus
+    else:
+        flag, path, load = "--corpus", args.corpus, load_corpus
+    if not path:
+        raise ValueError(f"{flag} is required" + (f" for {mode} presegmentation" if mode else ""))
+    corpus = sample_sentences(load(path, lowercase, delimiter), fraction, seed)
+    if mode == CONTEXTUAL:
+        result = presegment.presegment_contextual(corpus, lexicon, mapping, delimiter)
+    elif mode == ACONTEXTUAL:
+        result = presegment.presegment_acontextual(corpus, lexicon, delimiter)
+    else:
+        result = corpus
+    return path, len(corpus.sentences), result
+
+
 def cmd_train(args) -> int:
     opt = _resolve_options(args)
     guidance = args.guidance
+    mode = artifacts.GUIDANCE_MODES[guidance]
     delimiter = opt["morph_delimiter"]
 
     lexicon = _load_checked_lexicon(args.lexicon, delimiter) if args.lexicon else None
     mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping else None
     suffixes = load_suffixes(args.suffixes) if args.suffixes else None
 
-    if guidance in artifacts.PRETOK_MODES and lexicon is None:
+    if mode and lexicon is None:
         raise ValueError(f"guidance {guidance!r} requires --lexicon")
     if guidance == "morphseed" and suffixes is None:
         raise ValueError("guidance 'morphseed' requires --suffixes")
@@ -161,33 +183,14 @@ def cmd_train(args) -> int:
         _warn(f"--suffixes is ignored with guidance {guidance!r}")
         suffixes = None
 
-    preseg_stats = None
-    if guidance == "morphpretok-contextual":
-        if not args.tagged_corpus:
-            raise ValueError("guidance 'morphpretok-contextual' requires --tagged-corpus")
-        corpus_path = args.tagged_corpus
-        tagged = load_tagged_corpus(corpus_path, opt["lowercase"], delimiter)
-        tagged = sample_sentences(tagged, opt["sample_fraction"], opt["seed"])
-        n_input_sentences = len(tagged.sentences)
-        training = presegment.presegment_contextual(tagged, lexicon, mapping, delimiter)
-        preseg_stats = training.stats
-    else:
-        if not args.corpus:
-            raise ValueError("--corpus is required")
-        corpus_path = args.corpus
-        corpus = load_corpus(corpus_path, opt["lowercase"], delimiter)
-        corpus = sample_sentences(corpus, opt["sample_fraction"], opt["seed"])
-        n_input_sentences = len(corpus.sentences)
-        if guidance == "morphpretok-acontextual":
-            training = presegment.presegment_acontextual(corpus, lexicon, delimiter)
-            preseg_stats = training.stats
-        else:
-            training = corpus
+    corpus_path, n_input_sentences, training = _presegmented_input(
+        args, mode, lexicon, mapping, delimiter, opt["lowercase"], opt["sample_fraction"], opt["seed"]
+    )
 
     config_class = artifacts.CONFIG_CLASSES[args.algorithm]
     options = {name: opt[name] for name, _, _ in artifacts.config_fields(config_class)}
     # only presegmented training data carries delimiters
-    options["morph_delimiter"] = delimiter if guidance in artifacts.PRETOK_MODES else None
+    options["morph_delimiter"] = delimiter if mode else None
     cfg = config_class(**options, seed_suffixes=tuple(suffixes) if suffixes else None)
     if args.algorithm == "wordpiece":
         vocab = wordpiece.wp_train(training, cfg)
@@ -220,8 +223,8 @@ def cmd_train(args) -> int:
     if args.suffixes:
         lines.append(f"suffixes {args.suffixes}")
         lines.append(f"suffixes_sha256 {_sha256(args.suffixes)}")
-    if preseg_stats is not None:
-        lines.extend(preseg_stats.to_kv().rstrip("\n").splitlines())
+    if mode:
+        lines.extend(training.stats.to_kv().rstrip("\n").splitlines())
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -234,16 +237,7 @@ def cmd_presegment(args) -> int:
     delimiter = _parse_option("morph_delimiter", delimiter, "--morph-delimiter")
     lexicon = _load_checked_lexicon(args.lexicon, delimiter)
     mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping else None
-    if args.mode == "contextual":
-        if not args.tagged_corpus:
-            raise ValueError("contextual presegmentation requires --tagged-corpus")
-        tagged = load_tagged_corpus(args.tagged_corpus, args.lowercase, delimiter)
-        result = presegment.presegment_contextual(tagged, lexicon, mapping, delimiter)
-    else:
-        if not args.corpus:
-            raise ValueError("acontextual presegmentation requires --corpus")
-        corpus = load_corpus(args.corpus, args.lowercase, delimiter)
-        result = presegment.presegment_acontextual(corpus, lexicon, delimiter)
+    _, _, result = _presegmented_input(args, args.mode, lexicon, mapping, delimiter, args.lowercase)
 
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="\n")
     try:
@@ -369,12 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a tokenizer and write an artifact")
-    p_train.add_argument("--algorithm", required=True, choices=["wordpiece", "ulm"])
-    p_train.add_argument(
-        "--guidance",
-        default="baseline",
-        choices=list(artifacts.GUIDANCE_MODES),
-    )
+    p_train.add_argument("--algorithm", required=True, choices=list(artifacts.CONFIG_CLASSES))
+    p_train.add_argument("--guidance", default="baseline", choices=list(artifacts.GUIDANCE_MODES))
     p_train.add_argument("--corpus", help="raw training corpus, one sentence per line")
     p_train.add_argument("--tagged-corpus", help="word<TAB>UD_POS corpus (contextual guidance)")
     p_train.add_argument("--lexicon", help="morphological lexicon TSV")
@@ -390,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_preseg = sub.add_parser("presegment", help="write a morpheme-delimited corpus")
-    p_preseg.add_argument("--mode", required=True, choices=["acontextual", "contextual"])
+    p_preseg.add_argument("--mode", required=True, choices=(ACONTEXTUAL, CONTEXTUAL))
     p_preseg.add_argument("--corpus")
     p_preseg.add_argument("--tagged-corpus")
     p_preseg.add_argument("--lexicon", required=True)
@@ -416,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score artifacts against a gold set")
     p_eval.add_argument("--artifact", action="append", required=True)
     p_eval.add_argument("--gold", required=True)
-    p_eval.add_argument("--mode", choices=["acontextual", "contextual"], default="acontextual")
+    p_eval.add_argument("--mode", choices=(ACONTEXTUAL, CONTEXTUAL), default=ACONTEXTUAL)
     p_eval.add_argument("--lexicon")
     p_eval.add_argument("--pos-mapping")
     p_eval.add_argument("--format", choices=["table", "kv"], default="table")

@@ -8,6 +8,7 @@ All inputs are UTF-8 plain text:
   ``seg`` joins morphemes with "@" (``advers@ari``)
 - suffix list: one suffix per line
 - gold segmentation set: TSV ``word<TAB>pos_or_dash<TAB>seg``
+- POS mapping override: TSV ``UD_TAG<TAB>Analyzer1,Analyzer2,...``
 
 The "@" character doubles as the morpheme delimiter, so a literal "@"
 in raw text is escaped to ``\\@`` on ingest and unescaped whenever text
@@ -100,7 +101,8 @@ def decode_lines(raw_lines, source):
             raise loader_error(source, lineno, f"invalid UTF-8 ({exc.reason})") from None
 
 
-def _iter_lines(path):
+def iter_lines(path):
+    """``(lineno, text)`` pairs of a UTF-8 file, as :func:`decode_lines` gives them."""
     with open(path, "rb") as fh:
         return decode_lines(fh.read().split(b"\n"), path)
 
@@ -110,10 +112,6 @@ class Corpus:
     """Sentences of whitespace-free words; treat as read-only after construction."""
 
     sentences: list[list[str]]
-
-    def iter_words(self):
-        for sentence in self.sentences:
-            yield from sentence
 
     def word_counts(self) -> Counter:
         """Token frequency per word type."""
@@ -135,7 +133,7 @@ def load_corpus(path, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITE
     characters are escaped. Blank lines are skipped; an empty file gives
     a corpus with zero sentences.
     """
-    return Corpus(list(corpus_sentences(_iter_lines(path), lowercase, delimiter)))
+    return Corpus(list(corpus_sentences(iter_lines(path), lowercase, delimiter)))
 
 
 def corpus_sentences(lines, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITER):
@@ -192,7 +190,7 @@ def load_tagged_corpus(
     path, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITER
 ) -> TaggedCorpus:
     """Load a POS-tagged corpus: ``word<TAB>UD_POS`` rows, blank line between sentences."""
-    return TaggedCorpus(list(tagged_sentences(_iter_lines(path), path, lowercase, delimiter)))
+    return TaggedCorpus(list(tagged_sentences(iter_lines(path), path, lowercase, delimiter)))
 
 
 @dataclass
@@ -226,7 +224,7 @@ def load_lexicon(path, delimiter: str = DEFAULT_DELIMITER) -> MorphLexicon:
     def reject(lineno, reason):
         lexicon.rejected.append(f"{path}:{lineno}: {reason}")
 
-    for lineno, line in _iter_lines(path):
+    for lineno, line in iter_lines(path):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -261,7 +259,7 @@ def load_suffixes(path) -> list[str]:
     """Load a suffix list, one per line; duplicates are skipped, order kept."""
     suffixes: list[str] = []
     seen = set()
-    for lineno, line in _iter_lines(path):
+    for lineno, line in iter_lines(path):
         suffix = line.strip()
         if not suffix or suffix.startswith("#"):
             continue
@@ -272,6 +270,37 @@ def load_suffixes(path) -> list[str]:
         seen.add(suffix)
         suffixes.append(suffix)
     return suffixes
+
+
+def load_pos_mapping(path) -> dict[str, tuple[str, ...]]:
+    """Load a POS mapping override: TSV lines ``UD_TAG<TAB>Analyzer1,Analyzer2,...``.
+
+    The file must cover every UD tag exactly once; per-tag order is kept.
+    """
+    mapping: dict[str, tuple[str, ...]] = {}
+    for lineno, line in iter_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise loader_error(path, lineno, f"expected 2 tab-separated fields, got {len(parts)}")
+        ud_tag, csv = parts
+        if ud_tag not in UD_TAGS:
+            raise loader_error(path, lineno, f"unknown UD POS tag: {ud_tag!r}")
+        if ud_tag in mapping:
+            raise loader_error(path, lineno, f"duplicate UD POS tag: {ud_tag!r}")
+        tags = tuple(t.strip() for t in csv.split(","))
+        if not tags or any(not t for t in tags):
+            raise loader_error(path, lineno, "empty analyzer tag list")
+        for t in tags:
+            if t not in ANALYZER_TAGS:
+                raise loader_error(path, lineno, f"unknown analyzer POS tag: {t!r}")
+        mapping[ud_tag] = tags
+    missing = UD_TAGS - mapping.keys()
+    if missing:
+        raise LoaderError(f"{path}: mapping does not cover UD tags: {', '.join(sorted(missing))}")
+    return mapping
 
 
 @dataclass(frozen=True)
@@ -301,7 +330,7 @@ def load_gold_set(path, delimiter: str = DEFAULT_DELIMITER) -> GoldSegmentationS
     def reject(lineno, reason):
         gold.rejected.append(f"{path}:{lineno}: {reason}")
 
-    for lineno, line in _iter_lines(path):
+    for lineno, line in iter_lines(path):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

@@ -162,7 +162,6 @@ def evaluate(
     mode: str = ACONTEXTUAL,
     name: str = "tokenizer",
     piece_overlap: bool = False,
-    unk_token: str = UNK_TOKEN,
 ) -> EvalReport:
     """Score ``encoder(word, pos) -> pieces`` against a gold set.
 
@@ -188,7 +187,7 @@ def evaluate(
     for item in gold_set.items:
         pred = encoder(item.word, item.pos if mode == CONTEXTUAL else None)
         gold_norm = normalize_pieces(item.pieces)
-        if pred == [unk_token]:
+        if pred == [UNK_TOKEN]:
             pred_norm = [item.word]
         else:
             pred_norm = normalize_pieces(pred)

@@ -12,8 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import LoaderError, loader_error
-
 # Analyzer-side POS inventory (the tag set morphological lexica use).
 ANALYZER_TAGS = frozenset(
     {
@@ -168,35 +166,3 @@ def disambiguate(
     pool = [s for s in segs if len(s) == most]
     chosen = max(pool, key=lambda s: len(s[-1]))
     return DisambiguationOutcome(chosen, DisambiguationRule.TIE_MORE_SUBWORDS, len(distinct))
-
-
-def load_pos_mapping(path) -> dict[str, tuple[str, ...]]:
-    """Load a POS mapping override: TSV lines ``UD_TAG<TAB>Analyzer1,Analyzer2,...``.
-
-    The file must cover every UD tag exactly once; per-tag order is kept.
-    """
-    mapping: dict[str, tuple[str, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise loader_error(path, lineno, f"expected 2 tab-separated fields, got {len(parts)}")
-            ud_tag, csv = parts
-            if ud_tag not in UD_TAGS:
-                raise loader_error(path, lineno, f"unknown UD POS tag: {ud_tag!r}")
-            if ud_tag in mapping:
-                raise loader_error(path, lineno, f"duplicate UD POS tag: {ud_tag!r}")
-            tags = tuple(t.strip() for t in csv.split(","))
-            if not tags or any(not t for t in tags):
-                raise loader_error(path, lineno, "empty analyzer tag list")
-            for t in tags:
-                if t not in ANALYZER_TAGS:
-                    raise loader_error(path, lineno, f"unknown analyzer POS tag: {t!r}")
-            mapping[ud_tag] = tags
-    missing = UD_TAGS - mapping.keys()
-    if missing:
-        raise LoaderError(f"{path}: mapping does not cover UD tags: {', '.join(sorted(missing))}")
-    return mapping

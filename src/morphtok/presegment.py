@@ -56,7 +56,6 @@ class PresegStats:
 class PresegmentedCorpus(Corpus):
     """A corpus whose in-lexicon words carry morpheme boundaries."""
 
-    mode: str = ACONTEXTUAL
     delimiter: str = DEFAULT_DELIMITER
     stats: PresegStats = field(default_factory=PresegStats)
 
@@ -92,7 +91,7 @@ def _presegment(word: str, lexicon: MorphLexicon, pos, mapping, delimiter: str):
     return delimiter.join(morphemes), analyses, rule
 
 
-def _presegment_tokens(sentences, presegment_token, mode: str, delimiter: str) -> PresegmentedCorpus:
+def _presegment_tokens(sentences, presegment_token, delimiter: str) -> PresegmentedCorpus:
     """Presegment every token of `sentences`, calling `presegment_token`
     (which returns a :func:`_presegment` result) once per distinct token;
     the stats still count every token."""
@@ -107,7 +106,7 @@ def _presegment_tokens(sentences, presegment_token, mode: str, delimiter: str) -
         stats.analyses_seen += n * len(analyses)
         stats.rule_counts[rule.value if rule else _classify_acontextual(analyses)] += n
     out = [[chosen[token][0] for token in sentence] for sentence in sentences]
-    return PresegmentedCorpus(out, mode=mode, delimiter=delimiter, stats=stats)
+    return PresegmentedCorpus(out, delimiter=delimiter, stats=stats)
 
 
 def presegment_acontextual(
@@ -117,7 +116,6 @@ def presegment_acontextual(
     return _presegment_tokens(
         corpus.sentences,
         lambda word: _presegment(word, lexicon, None, None, delimiter),
-        ACONTEXTUAL,
         delimiter,
     )
 
@@ -136,7 +134,6 @@ def presegment_contextual(
     return _presegment_tokens(
         tagged.sentences,
         lambda token: _presegment(token[0], lexicon, token[1], mapping, delimiter),
-        CONTEXTUAL,
         delimiter,
     )
 

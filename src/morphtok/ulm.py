@@ -60,7 +60,6 @@ class UlmVocabulary:
     log_probs: dict[str, float]
     protected: frozenset[str] = frozenset()
     boost: float = 0.0
-    unk_token: str = UNK_TOKEN
     _trie: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __contains__(self, piece: str) -> bool:
@@ -165,7 +164,7 @@ def ulm_encode(word: str, vocab: UlmVocabulary, morph_delimiter: str | None = No
     for seg in morph_segments(word, morph_delimiter, "encode"):
         res = _viterbi(_lattice(seg, trie), log_probs, vocab.protected, vocab.boost)
         if res is None:
-            return [vocab.unk_token]
+            return [UNK_TOKEN]
         pieces.extend(res[2])
     return pieces
 

@@ -43,7 +43,6 @@ class WpTrainerConfig:
 @dataclass
 class WpVocabulary:
     entries: set[str] = field(default_factory=set)
-    unk_token: str = UNK_TOKEN
     _tries: tuple[dict, dict] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __contains__(self, piece: str) -> bool:
@@ -204,7 +203,7 @@ def wp_encode(word: str, vocab: WpVocabulary, morph_delimiter: str | None = None
                 if "" in node:
                     match, end = node, j + 1
             if match is None:
-                return [vocab.unk_token]
+                return [UNK_TOKEN]
             pieces.append(match[""])
             i = end
     return pieces

@@ -102,7 +102,7 @@ def test_criterion_1_decode_oracle_equivalence():
         vocab = ulm.UlmVocabulary(log_probs=log_probs, protected=protected, boost=boost)
         expected = viterbi_oracle(word, log_probs, protected=protected, boost=boost)
         got = ulm.ulm_encode(word, vocab)
-        assert got == (expected if expected is not None else [vocab.unk_token]), (word, i)
+        assert got == (expected if expected is not None else [corpus.UNK_TOKEN]), (word, i)
 
     for i in range(1000):
         alphabet = "ab" if i % 2 else "abc"
@@ -446,7 +446,7 @@ def test_criterion_9_round_trips(trained, mini):
 
         encoder = artifacts.word_encoder(
             first, lexicon=mini["lexicon"], on_warning=lambda msg: None)
-        unk = first.vocab.unk_token
+        unk = corpus.UNK_TOKEN
         for word in types:
             pieces = encoder(word)
             if pieces == [unk]:

@@ -156,6 +156,15 @@ class TestTrain:
         assert f"guidance '{guidance}' requires --lexicon" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--config", "--pos-mapping"])
+    def test_invalid_utf8_in_option_file_is_located(self, files, capsys, flag):
+        bad = files["dir"] / "bad.tsv"
+        bad.write_bytes("# café\n".encode("utf-8") + b"VERB\tVerb\xff\n")
+        out = files["dir"] / "wp.tok"
+        assert cli.main(train_args(files, str(out)) + [flag, str(bad)]) == 2
+        assert f"error: {bad}:2: invalid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_without_corpus_is_input_error(self, files, capsys):
         out = files["dir"] / "wp.tok"
         code = cli.main(["train", "--algorithm", "wordpiece", "--output", str(out)])

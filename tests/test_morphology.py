@@ -2,6 +2,7 @@
 
 import pytest
 
+from morphtok.corpus import load_pos_mapping
 from morphtok.errors import LoaderError
 from morphtok.morphology import (
     ANALYZER_TAGS,
@@ -11,7 +12,6 @@ from morphtok.morphology import (
     MorphAnalysis,
     acontextual_choice,
     disambiguate,
-    load_pos_mapping,
     map_pos,
 )
 
