@@ -186,12 +186,12 @@ def word_encoder(
             f"artifact guidance is {model.guidance!r} but no lexicon was supplied; "
             "encoding raw words without presegmentation"
         )
-    presegments = mode is not None and lexicon is not None
+        mode = None
     delimiter = model.config.morph_delimiter
     contextual = mode == CONTEXTUAL
 
     def encode(word: str, pos: str | None = None) -> list[str]:
-        if presegments:
+        if mode:
             word = presegment_word(
                 word,
                 lexicon,
