@@ -11,16 +11,16 @@ An artifact is a human-readable text file:
     <one vocabulary entry per line>
 
 After kind and guidance, the header keys are the fields of the trainer
-config dataclass, in declaration order (unigram artifacts add the decode
+config dataclass in declaration order (unigram artifacts add the decode
 ``boost`` last), so the dataclass is the one schema for header, loader
-and digest. Every key is required on load.
+and digest. Every key is required on load; ``config_digest`` must match.
 
 WordPiece entries are bare pieces (continuations carry the literal "##"
 prefix). Unigram entries are ``piece<TAB>logprob<TAB>protected_flag``
-with ``repr`` floats, so probabilities reload bit-exactly. Everything
-after the ``# ---`` separator is an entry, so entries never need
-escaping (words cannot contain whitespace, hence no entry can start
-with "# ").
+with ``repr`` floats, so probabilities reload bit-exactly. Every
+non-blank line after the ``# ---`` separator is an entry, so entries
+never need escaping (words cannot contain whitespace, hence no entry
+can start with "# ").
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import math
 import typing
 import warnings
 
-from .corpus import DEFAULT_DELIMITER, MorphLexicon
-from .errors import LoaderError
+from .corpus import DEFAULT_DELIMITER, MorphLexicon, iter_lines
+from .errors import LoaderError, loader_error
 from .presegment import ACONTEXTUAL, CONTEXTUAL, presegment_word
 from .ulm import UlmTokenizer, UlmTrainerConfig, UlmVocabulary
 from .wordpiece import WordPieceTokenizer, WpTrainerConfig, WpVocabulary
@@ -105,60 +105,58 @@ def save_tokenizer(model, path) -> None:
 
 
 def load_tokenizer(path):
-    """Load an artifact back into a tokenizer; rejects other versions."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != f"# {FORMAT_VERSION}":
+    """Load an artifact back into a tokenizer; rejects other versions, a missing
+    header line and a config digest that does not match the loaded model."""
+    # no header line or entry is blank, so blank lines (as after the last "\n") are skipped
+    lines = ((lineno, line) for lineno, line in iter_lines(path) if line)
+    if next(lines, (1, ""))[1] != f"# {FORMAT_VERSION}":
         raise LoaderError(f"{path}: not a {FORMAT_VERSION!r} file")
     header: dict[str, str] = {}
-    body_start = None
-    for idx, line in enumerate(lines[1:], start=1):
+    for lineno, line in lines:
         if line == SEPARATOR:
-            body_start = idx + 1
             break
         if not line.startswith("# "):
-            raise LoaderError(f"{path}:{idx + 1}: malformed header line")
+            raise loader_error(path, lineno, "malformed header line")
         key, _, value = line[2:].partition(" ")
         header[key] = value
-    if body_start is None:
+    else:
         raise LoaderError(f"{path}: truncated artifact (missing {SEPARATOR!r} separator)")
-    entries = lines[body_start:]
+    entries = list(lines)
     if not entries:
         raise LoaderError(f"{path}: artifact has no vocabulary entries")
 
-    kind = header.get("kind")
-    guidance = header.get("guidance", "baseline")
-    if guidance not in GUIDANCE_MODES:
-        raise LoaderError(f"{path}: unknown guidance mode {guidance!r}")
-    if kind not in CONFIG_CLASSES:
-        raise LoaderError(f"{path}: unknown tokenizer kind {kind!r}")
-
     try:
+        kind, guidance = header["kind"], header["guidance"]
+        if guidance not in GUIDANCE_MODES:
+            raise LoaderError(f"{path}: unknown guidance mode {guidance!r}")
+        if kind not in CONFIG_CLASSES:
+            raise LoaderError(f"{path}: unknown tokenizer kind {kind!r}")
         config_class = CONFIG_CLASSES[kind]
         cfg = config_class(
             **{name: _DECODE[typ](header[name]) for name, typ, _ in config_fields(config_class)}
         )
         if kind == "wordpiece":
-            return WordPieceTokenizer(WpVocabulary(set(entries)), cfg, guidance)
-        log_probs: dict[str, float] = {}
-        protected = set()
-        for offset, line in enumerate(entries):
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise LoaderError(
-                    f"{path}:{body_start + offset + 1}: expected piece<TAB>logprob<TAB>flag"
-                )
-            piece, lp, flag = parts
-            log_probs[piece] = float(lp)
-            if flag == "1":
-                protected.add(piece)
-        total = sum(math.exp(lp) for lp in log_probs.values())
-        if abs(total - 1.0) > 1e-6:
-            raise LoaderError(f"{path}: entry probabilities sum to {total}, expected 1")
-        vocab = UlmVocabulary(log_probs, frozenset(protected), float(header["boost"]))
-        return UlmTokenizer(vocab, cfg, guidance)
+            model = WordPieceTokenizer(WpVocabulary({line for _, line in entries}), cfg, guidance)
+        else:
+            log_probs: dict[str, float] = {}
+            protected = set()
+            for lineno, line in entries:
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise loader_error(path, lineno, "expected piece<TAB>logprob<TAB>flag")
+                piece, lp, flag = parts
+                log_probs[piece] = float(lp)
+                if flag == "1":
+                    protected.add(piece)
+            total = sum(math.exp(lp) for lp in log_probs.values())
+            if abs(total - 1.0) > 1e-6:
+                raise LoaderError(f"{path}: entry probabilities sum to {total}, expected 1")
+            vocab = UlmVocabulary(log_probs, frozenset(protected), float(header["boost"]))
+            model = UlmTokenizer(vocab, cfg, guidance)
+        stored, digest = header["config_digest"], config_digest(model)
+        if stored != digest:
+            raise LoaderError(f"{path}: config_digest {stored} does not match the header's {digest}")
+        return model
     except (KeyError, ValueError, OverflowError) as exc:
         if isinstance(exc, LoaderError):
             raise

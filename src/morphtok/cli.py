@@ -69,6 +69,12 @@ TRAIN_OPTIONS = {
 } | CORPUS_OPTIONS
 
 
+# the input files read for each presegmentation of artifacts.GUIDANCE_MODES,
+# its corpus first; training with morphseed guidance also reads the suffixes
+MODE_INPUTS = {None: ("corpus",), ACONTEXTUAL: ("corpus", "lexicon"),
+               CONTEXTUAL: ("tagged_corpus", "lexicon", "pos_mapping")}
+
+
 def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
@@ -149,12 +155,11 @@ def _presegmented_input(args, mode, lexicon, mapping, delimiter, lowercase, frac
     """Load the corpus `mode` reads (``--tagged-corpus`` for contextual
     presegmentation, else ``--corpus``), sample it and presegment it; mode
     None leaves it as it is. Returns ``(path, sentences sampled, corpus)``."""
-    if mode == CONTEXTUAL:
-        flag, path, load = "--tagged-corpus", args.tagged_corpus, load_tagged_corpus
-    else:
-        flag, path, load = "--corpus", args.corpus, load_corpus
+    name = MODE_INPUTS[mode][0]
+    path = getattr(args, name)
     if not path:
-        raise ValueError(f"{flag} is required" + (f" for {mode} presegmentation" if mode else ""))
+        raise ValueError(f"{_flag(name)} is required" + (f" for {mode} presegmentation" if mode else ""))
+    load = load_tagged_corpus if mode == CONTEXTUAL else load_corpus
     corpus = sample_sentences(load(path, lowercase, delimiter), fraction, seed)
     if mode == CONTEXTUAL:
         result = presegment.presegment_contextual(corpus, lexicon, mapping, delimiter)
@@ -175,13 +180,13 @@ def cmd_train(args) -> int:
     mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping else None
     suffixes = load_suffixes(args.suffixes) if args.suffixes else None
 
-    if mode and lexicon is None:
-        raise ValueError(f"guidance {guidance!r} requires --lexicon")
-    if guidance == "morphseed" and suffixes is None:
-        raise ValueError("guidance 'morphseed' requires --suffixes")
-    if suffixes is not None and guidance != "morphseed":
-        _warn(f"--suffixes is ignored with guidance {guidance!r}")
-        suffixes = None
+    reads = MODE_INPUTS[mode] + ("suffixes",) * (guidance == "morphseed")
+    for name in ("lexicon", "suffixes"):
+        if name in reads and not getattr(args, name):
+            raise ValueError(f"guidance {guidance!r} requires {_flag(name)}")
+    for name in ("corpus", "tagged_corpus", "lexicon", "pos_mapping", "suffixes"):
+        if getattr(args, name) and name not in reads:
+            _warn(f"{_flag(name)} is ignored with guidance {guidance!r}")
 
     corpus_path, n_input_sentences, training = _presegmented_input(
         args, mode, lexicon, mapping, delimiter, opt["lowercase"], opt["sample_fraction"], opt["seed"]
@@ -191,7 +196,8 @@ def cmd_train(args) -> int:
     options = {name: opt[name] for name, _, _ in artifacts.config_fields(config_class)}
     # only presegmented training data carries delimiters
     options["morph_delimiter"] = delimiter if mode else None
-    cfg = config_class(**options, seed_suffixes=tuple(suffixes) if suffixes else None)
+    seed_suffixes = tuple(suffixes) if suffixes and "suffixes" in reads else None
+    cfg = config_class(**options, seed_suffixes=seed_suffixes)
     if args.algorithm == "wordpiece":
         vocab = wordpiece.wp_train(training, cfg)
         model = wordpiece.WordPieceTokenizer(vocab, cfg, guidance)
@@ -277,14 +283,15 @@ def cmd_encode(args) -> int:
 
     delimiter = model.config.morph_delimiter or DEFAULT_DELIMITER
     streaming = args.input == "-"
+    source = "<stdin>" if streaming else args.input
     if streaming:  # one line at a time, decoded as strictly as a file
-        lines = decode_lines((raw.rstrip(b"\n") for raw in sys.stdin.buffer), "<stdin>")
-    if args.tagged:  # a blank line ends each sentence
-        sentences = (tagged_sentences(lines, "<stdin>", args.lowercase, delimiter) if streaming
-                     else load_tagged_corpus(args.input, args.lowercase, delimiter).sentences)
+        lines = decode_lines((raw.rstrip(b"\n") for raw in sys.stdin.buffer), source)
     else:
-        words = (corpus_sentences(lines, args.lowercase, delimiter) if streaming
-                 else load_corpus(args.input, args.lowercase, delimiter).sentences)
+        lines = iter_lines(source)
+    if args.tagged:  # a blank line ends each sentence
+        sentences = tagged_sentences(lines, source, args.lowercase, delimiter)
+    else:
+        words = corpus_sentences(lines, args.lowercase, delimiter)
         sentences = ([(w, None) for w in s] for s in words)
 
     # a word's output text depends only on (word, tag); every word yields at

@@ -102,9 +102,18 @@ def decode_lines(raw_lines, source):
 
 
 def iter_lines(path):
-    """``(lineno, text)`` pairs of a UTF-8 file, as :func:`decode_lines` gives them."""
+    """``(lineno, text)`` pairs of a UTF-8 file, as :func:`decode_lines` gives
+    them; the buffer is decoded whole, and re-scanned by line only on failure."""
     with open(path, "rb") as fh:
-        return decode_lines(fh.read().split(b"\n"), path)
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:  # yields the lines before the bad one, then locates it
+        return decode_lines(data.split(b"\n"), path)
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    return enumerate(lines, start=1)
 
 
 @dataclass
@@ -210,6 +219,43 @@ class MorphLexicon:
         return self.entries.get(word, [])
 
 
+def _segmented_rows(path, n_fields: int, delimiter: str, piece: str, rejected: list[str], parse):
+    """``(word, parse(*middle), pieces)`` of each ``word<TAB>middle...<TAB>seg`` row of
+    `n_fields` stripped fields, skipping blank and "#" lines; a malformed row, or
+    one whose `parse` raises ValueError, is recorded in `rejected` and skipped."""
+    for lineno, line in iter_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        try:
+            if len(parts) != n_fields:
+                raise ValueError(f"expected {n_fields} tab-separated fields, got {len(parts)}")
+            word, *middle, seg = (p.strip() for p in parts)
+            if not word:
+                raise ValueError("empty word")
+            parsed = parse(*middle)
+            word = escape_delimiter(word, delimiter)
+            pieces = split_on_delimiter(seg, delimiter)
+            if not all(pieces):
+                raise ValueError(f"empty {piece} in segmentation")
+            if "".join(pieces) != word:
+                raise ValueError(f"segmentation {seg!r} does not concatenate to {word!r}")
+        except ValueError as exc:
+            rejected.append(f"{path}:{lineno}: {exc}")
+            continue
+        yield word, parsed, tuple(pieces)
+
+
+def _analyzer_pos(index: str, pos: str) -> str:
+    try:
+        int(index)
+    except ValueError:
+        raise ValueError(f"analysis index is not an integer: {index!r}") from None
+    if pos not in ANALYZER_TAGS:
+        raise ValueError(f"unknown analyzer POS tag: {pos!r}")
+    return pos
+
+
 def load_lexicon(path, delimiter: str = DEFAULT_DELIMITER) -> MorphLexicon:
     """Load a morphological lexicon.
 
@@ -220,38 +266,9 @@ def load_lexicon(path, delimiter: str = DEFAULT_DELIMITER) -> MorphLexicon:
     "first analysis" used by acontextual selection is the first row.
     """
     lexicon = MorphLexicon()
-
-    def reject(lineno, reason):
-        lexicon.rejected.append(f"{path}:{lineno}: {reason}")
-
-    for lineno, line in iter_lines(path):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            reject(lineno, f"expected 4 tab-separated fields, got {len(parts)}")
-            continue
-        word, index, pos, seg = (p.strip() for p in parts)
-        if not word:
-            reject(lineno, "empty word")
-            continue
-        try:
-            int(index)
-        except ValueError:
-            reject(lineno, f"analysis index is not an integer: {index!r}")
-            continue
-        if pos not in ANALYZER_TAGS:
-            reject(lineno, f"unknown analyzer POS tag: {pos!r}")
-            continue
-        word = escape_delimiter(word, delimiter)
-        morphemes = split_on_delimiter(seg, delimiter)
-        if any(not m for m in morphemes):
-            reject(lineno, "empty morpheme in segmentation")
-            continue
-        if "".join(morphemes) != word:
-            reject(lineno, f"segmentation {seg!r} does not concatenate to {word!r}")
-            continue
-        lexicon.entries.setdefault(word, []).append(MorphAnalysis(tuple(morphemes), pos))
+    rows = _segmented_rows(path, 4, delimiter, "morpheme", lexicon.rejected, _analyzer_pos)
+    for word, pos, morphemes in rows:
+        lexicon.entries.setdefault(word, []).append(MorphAnalysis(morphemes, pos))
     return lexicon
 
 
@@ -319,6 +336,12 @@ class GoldSegmentationSet:
         return len(self.items)
 
 
+def _ud_tag_or_dash(pos: str) -> str | None:
+    if pos != "-" and pos not in UD_TAGS:
+        raise ValueError(f"unknown UD POS tag: {pos!r}")
+    return None if pos == "-" else pos
+
+
 def load_gold_set(path, delimiter: str = DEFAULT_DELIMITER) -> GoldSegmentationSet:
     """Load gold segmentations: ``word<TAB>pos_or_dash<TAB>seg`` rows.
 
@@ -326,37 +349,8 @@ def load_gold_set(path, delimiter: str = DEFAULT_DELIMITER) -> GoldSegmentationS
     recorded, mirroring :func:`load_lexicon`.
     """
     gold = GoldSegmentationSet()
-
-    def reject(lineno, reason):
-        gold.rejected.append(f"{path}:{lineno}: {reason}")
-
-    for lineno, line in iter_lines(path):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            reject(lineno, f"expected 3 tab-separated fields, got {len(parts)}")
-            continue
-        word, pos, seg = (p.strip() for p in parts)
-        if not word:
-            reject(lineno, "empty word")
-            continue
-        if pos == "-":
-            tag = None
-        elif pos in UD_TAGS:
-            tag = pos
-        else:
-            reject(lineno, f"unknown UD POS tag: {pos!r}")
-            continue
-        word = escape_delimiter(word, delimiter)
-        pieces = split_on_delimiter(seg, delimiter)
-        if any(not p for p in pieces):
-            reject(lineno, "empty piece in segmentation")
-            continue
-        if "".join(pieces) != word:
-            reject(lineno, f"segmentation {seg!r} does not concatenate to {word!r}")
-            continue
-        gold.items.append(GoldItem(word, tag, tuple(pieces)))
+    rows = _segmented_rows(path, 3, delimiter, "piece", gold.rejected, _ud_tag_or_dash)
+    gold.items.extend(GoldItem(*row) for row in rows)
     return gold
 
 

@@ -168,6 +168,23 @@ class TestValidation:
                 load_tokenizer(path)
 
 
+    @pytest.mark.parametrize("edit, match", [
+        (("# guidance morphpretok-contextual\n", ""), "guidance"),
+        (("# min_pair_frequency 2\n", "# min_pair_frequency 7\n"), "config_digest"),
+    ], ids=["guidance-deleted", "config-edited"])
+    def test_header_edited_after_training_rejected(self, tmp_path, edit, match):
+        # a contextual artifact must not load as baseline, nor load a config
+        # that is not the one it was trained with
+        model = wp_model()
+        path = tmp_path / "a.tok"
+        save_tokenizer(WordPieceTokenizer(model.vocab, model.config, "morphpretok-contextual"), path)
+        text = path.read_text(encoding="utf-8")
+        assert edit[0] in text
+        path.write_text(text.replace(edit[0], edit[1]), encoding="utf-8")
+        with pytest.raises(LoaderError, match=match):
+            load_tokenizer(path)
+
+
 class TestDigest:
     def test_stable_for_same_config(self):
         assert config_digest(wp_model()) == config_digest(wp_model())

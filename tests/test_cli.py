@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from morphtok import artifacts, cli
+from morphtok.morphology import DEFAULT_POS_MAPPING
 
 ROOT = Path(__file__).resolve().parents[1]
 MINI = ROOT / "data" / "mini-latin"
@@ -145,6 +146,25 @@ class TestTrain:
         assert cli.main(args + [str(without)]) == 0
         assert with_suffixes.read_bytes() == without.read_bytes()
         assert artifacts.load_tokenizer(with_suffixes).guidance == "baseline"
+
+    @pytest.mark.parametrize("flag", ["--tagged-corpus", "--pos-mapping", "--lexicon", "--corpus"])
+    def test_unread_input_warns_and_is_ignored(self, tmp_path, capsys, flag):
+        # an input the guidance mode does not read leaves the artifact as it is without it
+        mapping = tmp_path / "pos-mapping.tsv"
+        mapping.write_text("".join(f"{ud}\t{','.join(tags)}\n" for ud, tags in DEFAULT_POS_MAPPING.items()),
+                           encoding="utf-8")
+        inputs = {"--corpus": MINI / "corpus.txt", "--tagged-corpus": MINI / "tagged.tsv",
+                  "--lexicon": MINI / "lexicon.tsv", "--pos-mapping": mapping}
+        reads = ["--tagged-corpus", "--lexicon"] if flag == "--corpus" else ["--corpus"]
+        guidance = "morphpretok-contextual" if flag == "--corpus" else "baseline"
+        args = ["train", "--algorithm", "wordpiece", "--guidance", guidance, "--vocab-size", "300"]
+        args += [arg for name in reads for arg in (name, str(inputs[name]))]
+        with_flag, without = tmp_path / "with.tok", tmp_path / "without.tok"
+        assert cli.main(args + ["--output", str(with_flag), flag, str(inputs[flag])]) == 0
+        assert f"warning: {flag} is ignored with guidance '{guidance}'" in capsys.readouterr().err
+        assert cli.main(args + ["--output", str(without)]) == 0
+        assert "is ignored" not in capsys.readouterr().err
+        assert with_flag.read_bytes() == without.read_bytes()
 
     @pytest.mark.parametrize("guidance", ["morphpretok-acontextual", "morphpretok-contextual"])
     def test_pretok_without_lexicon_is_input_error(self, files, capsys, guidance):
@@ -432,12 +452,24 @@ class TestEncode:
     def test_invalid_utf8_on_stdin_is_located(self, files, artifact, monkeypatch, capsys, tagged, text):
         # the same bytes from --input fail alike; stdin must not encode them as [UNK]
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text)))
-        args = ["encode", "--artifact", artifact, "--lexicon", files["lexicon"]]
-        assert cli.main(args + ["--tagged"] * tagged) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ("port ##as\n" if tagged else "port ##as am ##at\n")
+        path = files["dir"] / "bad.txt"
+        path.write_bytes(text)
+        args = ["encode", "--artifact", artifact, "--lexicon", files["lexicon"]] + ["--tagged"] * tagged
         lineno = 3 if tagged else 2
-        assert f"error: <stdin>:{lineno}: invalid UTF-8" in captured.err
+        for source, extra in [("<stdin>", []), (path, ["--input", str(path)])]:
+            assert cli.main(args + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ("port ##as\n" if tagged else "port ##as am ##at\n")
+            assert f"error: {source}:{lineno}: invalid UTF-8" in captured.err
+
+    @pytest.mark.parametrize("index", [2, -2], ids=["header", "last-entry"])
+    def test_invalid_utf8_in_artifact_is_located(self, files, artifact, capsys, index):
+        lines = Path(artifact).read_bytes().split(b"\n")  # the last is the empty one after "\n"
+        lines[index] += b"\xff"
+        Path(artifact).write_bytes(b"\n".join(lines))
+        assert cli.main(["encode", "--artifact", artifact, "--input", files["corpus"]]) == 2
+        lineno = index % len(lines) + 1
+        assert f"error: {artifact}:{lineno}: invalid UTF-8 (invalid start byte)" in capsys.readouterr().err
 
     def test_stdin_pipe_answers_each_line(self, files, artifact):
         # a caller may wait for each line's encoding before sending the next

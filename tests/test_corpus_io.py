@@ -1,12 +1,17 @@
 """Corpus, lexicon, suffix, gold-set loading and the delimiter escape rule."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from morphtok.corpus import (
     Corpus,
+    decode_lines,
     escape_delimiter,
+    iter_lines,
     load_corpus,
     load_gold_set,
     load_lexicon,
@@ -84,6 +89,39 @@ class TestLoadCorpus:
         path.write_bytes(b"fine line\n\xff\xfe broken\n")
         with pytest.raises(LoaderError, match=r":2:"):
             load_corpus(path)
+
+
+def pairs_and_error(lines):
+    """The ``(lineno, text)`` pairs a reader yields and the message of the
+    error that ends it, if any."""
+    pairs = []
+    try:
+        for pair in lines:
+            pairs.append(pair)
+    except LoaderError as exc:
+        return pairs, str(exc)
+    return pairs, None
+
+
+# ASCII, whole and cut multi-byte sequences, line ends and an invalid byte
+FRAGMENTS = [b"a", b" ", b"\t", b"\n", b"\r", b"\r\n", "é".encode(), "€".encode(), b"\xc3", b"\xa9",
+             b"\xe2\x82", b"\xff"]
+
+
+class TestIterLines:
+    @given(st.lists(st.sampled_from(FRAGMENTS)).map(b"".join) | st.binary())
+    @example(b"")
+    @example(b"ab\r")
+    @example(b"port\xc3\n\xa9as\n")
+    @example(b"fine\r\n\xffbad\nlater\n")
+    def test_matches_per_line_decode(self, data):
+        # the whole-buffer decode yields what a per-line decode yields, and
+        # fails on the same line with the same message
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.txt"
+            path.write_bytes(data)
+            expected = pairs_and_error(decode_lines(data.split(b"\n"), path))
+            assert pairs_and_error(iter_lines(path)) == expected
 
 
 class TestTaggedCorpus:
