@@ -26,6 +26,7 @@ can start with "# ").
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import typing
@@ -54,18 +55,20 @@ _ENCODE = {int: str, float: repr, bool: lambda v: "1" if v else "0", str | None:
 _DECODE = {int: int, float: float, bool: {"1": True, "0": False}.__getitem__, str | None: lambda t: t or None}
 
 
-def config_fields(config_class) -> list[tuple[str, type, object]]:
+@functools.cache
+def config_fields(config_class) -> tuple[tuple[str, type, object], ...]:
     """``(name, type, default)`` of each trainer option, in declaration order.
 
     These are the artifact header keys and the ``train`` CLI options; a
-    field with ``metadata={"option": False}`` is neither.
+    field with ``metadata={"option": False}`` is neither. Computed once
+    per class, since every save, load and digest reads them.
     """
     types = typing.get_type_hints(config_class)
-    return [
+    return tuple(
         (f.name, types[f.name], f.default)
         for f in dataclasses.fields(config_class)
         if f.metadata.get("option", True)
-    ]
+    )
 
 
 def _header_pairs(model) -> list[tuple[str, str]]:

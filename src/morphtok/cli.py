@@ -151,6 +151,13 @@ def _load_checked_lexicon(path, delimiter: str, source: str = "--morph-delimiter
     return lexicon
 
 
+def _warn_unread(args, reads, setting: str) -> None:
+    """Warn about each input file given that `setting` does not read."""
+    for name in ("corpus", "tagged_corpus", "lexicon", "pos_mapping", "suffixes"):
+        if getattr(args, name, None) and name not in reads:
+            _warn(f"{_flag(name)} is ignored with {setting}")
+
+
 def _presegmented_input(args, mode, lexicon, mapping, delimiter, lowercase, fraction=1.0, seed=0):
     """Load the corpus `mode` reads (``--tagged-corpus`` for contextual
     presegmentation, else ``--corpus``), sample it and presegment it; mode
@@ -184,9 +191,7 @@ def cmd_train(args) -> int:
     for name in ("lexicon", "suffixes"):
         if name in reads and not getattr(args, name):
             raise ValueError(f"guidance {guidance!r} requires {_flag(name)}")
-    for name in ("corpus", "tagged_corpus", "lexicon", "pos_mapping", "suffixes"):
-        if getattr(args, name) and name not in reads:
-            _warn(f"{_flag(name)} is ignored with guidance {guidance!r}")
+    _warn_unread(args, reads, f"guidance {guidance!r}")
 
     corpus_path, n_input_sentences, training = _presegmented_input(
         args, mode, lexicon, mapping, delimiter, opt["lowercase"], opt["sample_fraction"], opt["seed"]
@@ -243,6 +248,7 @@ def cmd_presegment(args) -> int:
     delimiter = _parse_option("morph_delimiter", delimiter, "--morph-delimiter")
     lexicon = _load_checked_lexicon(args.lexicon, delimiter)
     mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping else None
+    _warn_unread(args, MODE_INPUTS[args.mode], f"mode {args.mode!r}")
     _, _, result = _presegmented_input(args, args.mode, lexicon, mapping, delimiter, args.lowercase)
 
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="\n")

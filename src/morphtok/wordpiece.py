@@ -10,6 +10,21 @@ where counts come from the current segmentations of all word types,
 weighted by token frequency. Ties break on pair count, then on the
 lexicographically larger pair, making every run reproducible.
 
+The best pair comes off a heap (`heapq`, keyed on the negated score and
+count) instead of a scan over every pair. Its keys are validated
+lazily: a popped key that no longer matches the current counts is
+dropped, because a fresh one was pushed when they changed. The heap pops
+the smallest of equal keys, so every current key tied with the top is
+popped and the largest pair wins. Merging (a, b) into ab rewrites only
+the pairs at each merge site, (x, a) to (x, ab) and (b, y) to (ab, y),
+and (b, a) to (ab, ab) between adjacent sites, and changes only the
+counts of a, b and ab. A smaller count(a) or count(b) *raises* the score
+of every pair that contains a or b, even where that pair's own count is
+unchanged, and a key recomputed only on pop would never see the rise.
+So after each merge every live pair that contains a, b or ab goes back
+on the heap, with every pair whose count moved. The heap is rebuilt from
+the live pairs once most of its keys are stale.
+
 With a morph delimiter configured, each word is split into morpheme
 segments first. Segments after the first are symbol-initialized
 entirely in continuation form, so nothing is ever merged across a
@@ -22,6 +37,7 @@ vocabulary (`corpus.prefix_trie`), one character at a time.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -107,69 +123,98 @@ def wp_train(corpus: Corpus, cfg: WpTrainerConfig) -> WpVocabulary:
         )
 
     symbol_counts: Counter = Counter()
-    pair_counts: Counter = Counter()
-    where: defaultdict = defaultdict(set)  # pair -> unit indices containing it
-
-    def unit_pairs(symbols):
-        return zip(symbols, symbols[1:])
-
+    pair_counts: dict = {}
+    where: defaultdict = defaultdict(set)  # pair -> units that may contain it
+    pairs_of: defaultdict = defaultdict(set)  # symbol -> live pairs it is in
     for uid, (symbols, freq) in enumerate(units):
         for s in symbols:
             symbol_counts[s] += freq
-        for pair in unit_pairs(symbols):
-            pair_counts[pair] += freq
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] = pair_counts.get(pair, 0) + freq
             where[pair].add(uid)
+            pairs_of[pair[0]].add(pair)
+            pairs_of[pair[1]].add(pair)
 
-    min_pc = cfg.min_pair_frequency
+    def heap_key(pair):
+        pc = pair_counts[pair]
+        return (-(pc / (symbol_counts[pair[0]] * symbol_counts[pair[1]])), -pc, pair)
+
+    def current(key):
+        return key[2] in pair_counts and heap_key(key[2]) == key
+
+    min_pc = max(cfg.min_pair_frequency, 1)  # a live pair occurs at least once
+    heap: list = []
     while len(vocab) < cfg.vocab_size:
-        best = None
-        best_key = None
-        for pair, pc in pair_counts.items():
-            if pc < min_pc:
-                continue
-            key = (pc / (symbol_counts[pair[0]] * symbol_counts[pair[1]]), pc, pair)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = pair
-        if best is None:
+        if not heap or len(heap) > 4 * len(pair_counts):  # mostly stale keys: rebuild
+            heap = [heap_key(pair) for pair, pc in pair_counts.items() if pc >= min_pc]
+            heapq.heapify(heap)
+        while heap and not current(heap[0]):
+            heapq.heappop(heap)
+        if not heap:
             break
+        # the heap pops the smallest pair of a tie; the larger pair must win
+        top = heapq.heappop(heap)
+        tied = [top]
+        while heap and heap[0][:2] == top[:2]:
+            key = heapq.heappop(heap)
+            if current(key):
+                tied.append(key)
+        best = max(tied, key=lambda k: k[2])[2]
+        for key in tied:
+            if key[2] != best:
+                heapq.heappush(heap, key)
+
         a, b = best
         merged = a + b[len(CONTINUATION_PREFIX) :]
         vocab.add(merged)
 
-        for uid in list(where[best]):
+        delta: dict = {}  # pair -> change of its count
+        for uid in where.pop(best):
             symbols, freq = units[uid]
-            old_pairs = set(unit_pairs(symbols))
-            for s in symbols:
-                symbol_counts[s] -= freq
-            for pair in unit_pairs(symbols):
-                pair_counts[pair] -= freq
-
-            new_symbols = []
-            i = 0
             n = len(symbols)
+            out = []
+            moves = []  # (old pair, new pair) at each side of each merge site
+            i = end = 0  # end: where the last merge site ended
             while i < n:
-                if i + 1 < n and symbols[i] == a and symbols[i + 1] == b:
-                    new_symbols.append(merged)
-                    i += 2
-                else:
-                    new_symbols.append(symbols[i])
+                if symbols[i] != a or i + 1 == n or symbols[i + 1] != b:
+                    out.append(symbols[i])
                     i += 1
-            units[uid] = (new_symbols, freq)
+                    continue
+                if i:  # the pair on the left; right after the last site it was (b, a)
+                    x = out[-1]
+                    moves.append(((b if i == end else x, a), (x, merged)))
+                i = end = i + 2
+                if i < n and not (symbols[i] == a and i + 1 < n and symbols[i + 1] == b):
+                    moves.append(((b, symbols[i]), (merged, symbols[i])))
+                out.append(merged)
+            sites = n - len(out)
+            if sites:
+                units[uid] = (out, freq)
+                delta[best] = delta.get(best, 0) - sites * freq
+                symbol_counts[a] -= sites * freq
+                symbol_counts[b] -= sites * freq
+                symbol_counts[merged] += sites * freq
+                for old, new in moves:
+                    delta[old] = delta.get(old, 0) - freq
+                    delta[new] = delta.get(new, 0) + freq
+                    where[new].add(uid)
 
-            new_pairs = set(unit_pairs(new_symbols))
-            for s in new_symbols:
-                symbol_counts[s] += freq
-            for pair in unit_pairs(new_symbols):
-                pair_counts[pair] += freq
-            for pair in old_pairs - new_pairs:
-                where[pair].discard(uid)
-            for pair in new_pairs - old_pairs:
-                where[pair].add(uid)
-
-        for pair in [p for p, c in pair_counts.items() if c <= 0]:
-            del pair_counts[pair]
-            where.pop(pair, None)
+        for pair, change in delta.items():
+            pc = pair_counts.get(pair, 0) + change
+            if pc:
+                pair_counts[pair] = pc
+                pairs_of[pair[0]].add(pair)
+                pairs_of[pair[1]].add(pair)
+            else:
+                pair_counts.pop(pair, None)
+                where.pop(pair, None)
+                pairs_of[pair[0]].discard(pair)
+                pairs_of[pair[1]].discard(pair)
+        # a count that fell raises the score of every pair with that symbol,
+        # so those pairs go back on the heap with the pairs whose count moved
+        for pair in delta.keys() | pairs_of[a] | pairs_of[b] | pairs_of[merged]:
+            if pair_counts.get(pair, 0) >= min_pc:
+                heapq.heappush(heap, heap_key(pair))
 
     return WpVocabulary(vocab)
 

@@ -7,6 +7,7 @@ instead of cached indexes.
 """
 
 import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 CONTINUATION = "##"
@@ -44,6 +45,93 @@ def wp_encode_oracle(word, entries, unk="[UNK]", delimiter=None):
             return [unk]
         out.extend(pieces)
     return out
+
+
+def wp_train_oracle(word_counts, vocab_size, min_pair_frequency=2, seed_suffixes=None, delimiter=None):
+    """Reference WordPiece training: the entries of the vocabulary, found by
+    scanning every pair for the best score at each merge and recounting
+    each affected word's pairs and symbols from scratch. Words must not
+    contain empty morph segments. A vocab_size below the initial inventory
+    returns that inventory."""
+    units = []
+    for word, freq in word_counts.items():
+        for k, seg in enumerate(word.split(delimiter) if delimiter else [word]):
+            units.append(([ch if k == 0 and i == 0 else CONTINUATION + ch for i, ch in enumerate(seg)], freq))
+
+    vocab = {"[UNK]"}
+    for symbols, _ in units:
+        for s in symbols:
+            vocab.add(s[-1])
+            vocab.add(CONTINUATION + s[-1])
+    for suffix in seed_suffixes or ():
+        vocab.add(CONTINUATION + suffix)
+
+    symbol_counts = Counter()
+    pair_counts = Counter()
+    where = defaultdict(set)  # pair -> unit indices containing it
+
+    def unit_pairs(symbols):
+        return zip(symbols, symbols[1:])
+
+    for uid, (symbols, freq) in enumerate(units):
+        for s in symbols:
+            symbol_counts[s] += freq
+        for pair in unit_pairs(symbols):
+            pair_counts[pair] += freq
+            where[pair].add(uid)
+
+    min_pc = min_pair_frequency
+    while len(vocab) < vocab_size:
+        best = None
+        best_key = None
+        for pair, pc in pair_counts.items():
+            if pc < min_pc:
+                continue
+            key = (pc / (symbol_counts[pair[0]] * symbol_counts[pair[1]]), pc, pair)
+            if best_key is None or key > best_key:
+                best_key = key
+                best = pair
+        if best is None:
+            break
+        a, b = best
+        merged = a + b[len(CONTINUATION) :]
+        vocab.add(merged)
+
+        for uid in list(where[best]):
+            symbols, freq = units[uid]
+            old_pairs = set(unit_pairs(symbols))
+            for s in symbols:
+                symbol_counts[s] -= freq
+            for pair in unit_pairs(symbols):
+                pair_counts[pair] -= freq
+
+            new_symbols = []
+            i = 0
+            n = len(symbols)
+            while i < n:
+                if i + 1 < n and symbols[i] == a and symbols[i + 1] == b:
+                    new_symbols.append(merged)
+                    i += 2
+                else:
+                    new_symbols.append(symbols[i])
+                    i += 1
+            units[uid] = (new_symbols, freq)
+
+            new_pairs = set(unit_pairs(new_symbols))
+            for s in new_symbols:
+                symbol_counts[s] += freq
+            for pair in unit_pairs(new_symbols):
+                pair_counts[pair] += freq
+            for pair in old_pairs - new_pairs:
+                where[pair].discard(uid)
+            for pair in new_pairs - old_pairs:
+                where[pair].add(uid)
+
+        for pair in [p for p, c in pair_counts.items() if c <= 0]:
+            del pair_counts[pair]
+            where.pop(pair, None)
+
+    return vocab
 
 
 def lattice_oracle(text, vocab):

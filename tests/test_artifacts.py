@@ -1,9 +1,12 @@
 """Tokenizer artifact serialization: byte-stable round-trips and validation."""
 
 import math
+import typing
+from pathlib import Path
 
 import pytest
 
+from morphtok import artifacts
 from morphtok.artifacts import (
     config_digest,
     load_tokenizer,
@@ -16,6 +19,9 @@ from morphtok.errors import LoaderError
 from morphtok.morphology import MorphAnalysis
 from morphtok.ulm import UlmTokenizer, UlmTrainerConfig, UlmVocabulary, ulm_train
 from morphtok.wordpiece import WordPieceTokenizer, WpTrainerConfig, WpVocabulary, wp_train
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def wp_model():
@@ -203,6 +209,21 @@ class TestDigest:
         path = tmp_path / "a.tok"
         save_tokenizer(model, path)
         assert f"# config_digest {config_digest(model)}\n" in path.read_text(encoding="utf-8")
+
+
+class TestConfigFields:
+    def test_type_hints_evaluated_once_per_class(self, monkeypatch):
+        calls = []
+        get_type_hints = typing.get_type_hints
+        monkeypatch.setattr(typing, "get_type_hints", lambda cls: calls.append(cls) or get_type_hints(cls))
+        artifacts.config_fields.cache_clear()
+        for _ in range(3):
+            for name in ("wp.tok", "ulm.tok"):
+                artifacts.load_tokenizer(GOLDEN / name)
+        assert sorted(c.__name__ for c in calls) == ["UlmTrainerConfig", "WpTrainerConfig"]
+
+    def test_fields_are_immutable(self):
+        assert isinstance(artifacts.config_fields(WpTrainerConfig), tuple)
 
 
 class TestWordEncoder:

@@ -360,6 +360,28 @@ class TestPresegment:
         assert "port@as" in out.read_text(encoding="utf-8")
 
 
+    @pytest.mark.parametrize("mode", ["acontextual", "contextual"])
+    def test_unread_input_warns_and_is_ignored(self, tmp_path, capsys, mode):
+        # the corpus a mode does not read (and, for acontextual, the POS
+        # mapping) leaves the output and the stats as they are without it
+        mapping = tmp_path / "pos-mapping.tsv"
+        mapping.write_text("".join(f"{ud}\t{','.join(tags)}\n" for ud, tags in DEFAULT_POS_MAPPING.items()),
+                           encoding="utf-8")
+        inputs = {"--corpus": MINI / "corpus.txt", "--tagged-corpus": MINI / "tagged.tsv",
+                  "--lexicon": MINI / "lexicon.tsv", "--pos-mapping": mapping}
+        unread = ["--tagged-corpus", "--pos-mapping"] if mode == "acontextual" else ["--corpus"]
+        outputs = {}
+        for run, names in (("with", inputs), ("without", [n for n in inputs if n not in unread])):
+            out, stats = tmp_path / f"{run}.txt", tmp_path / f"{run}.kv"
+            args = ["presegment", "--mode", mode, "--output", str(out), "--stats-output", str(stats)]
+            assert cli.main(args + [arg for name in names for arg in (name, str(inputs[name]))]) == 0
+            outputs[run] = (out.read_bytes(), stats.read_bytes(), capsys.readouterr().err)
+        for flag in unread:
+            assert f"warning: {flag} is ignored with mode '{mode}'" in outputs["with"][2]
+        assert "is ignored" not in outputs["without"][2]
+        assert outputs["with"][:2] == outputs["without"][:2]
+
+
 class TestEncode:
     @pytest.fixture
     def artifact(self, files):

@@ -2,16 +2,19 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphtok import wordpiece
+from morphtok import corpus, presegment, wordpiece
 from morphtok.corpus import Corpus, prefix_trie
 from morphtok.wordpiece import WpTrainerConfig, WpVocabulary, wp_encode, wp_train
 
-from oracles import strip_markers, wp_encode_oracle
+from oracles import strip_markers, wp_encode_oracle, wp_train_oracle
+
+MINI = Path(__file__).resolve().parent.parent / "data" / "mini-latin"
 
 
 def train(sentences, **kwargs):
@@ -68,6 +71,62 @@ class TestTraining:
         a = train(sentences, vocab_size=30)
         b = train(sentences, vocab_size=30)
         assert a.entries == b.entries
+
+
+@st.composite
+def training_case(draw):
+    """Words over a small alphabet, so runs such as "aaaa", "abab" and
+    "xabab" and exact score ties are common; an optional delimiter and
+    seed suffixes; and a vocab_size from the initial inventory to past
+    the point where merging stops."""
+    alphabet = draw(st.sampled_from(["ab", "abx", "abc", "abcd"]))
+    delimiter = draw(st.sampled_from([None, "@"]))
+    segment = st.text(alphabet=alphabet, min_size=1, max_size=6)
+    word = st.lists(segment, min_size=1, max_size=3 if delimiter else 1).map("@".join)
+    sentences = draw(st.lists(st.lists(word, min_size=1, max_size=5), min_size=1, max_size=6))
+    seeds = draw(st.none() | st.lists(st.text(alphabet=alphabet, min_size=2, max_size=4),
+                                      min_size=1, max_size=3, unique=True).map(tuple))
+    min_pair_frequency = draw(st.integers(1, 3))
+    word_counts = Corpus(sentences).word_counts()
+    initial = len(wp_train_oracle(word_counts, 0, min_pair_frequency, seeds, delimiter))
+    final = len(wp_train_oracle(word_counts, 10**9, min_pair_frequency, seeds, delimiter))
+    vocab_size = draw(st.integers(initial, final + 2))
+    return sentences, WpTrainerConfig(vocab_size, min_pair_frequency, seeds, delimiter)
+
+
+class TestTrainOracle:
+    """Heap-driven training merges exactly what a scan over every pair
+    merges; equal vocabularies at every size pin the merge order."""
+
+    @given(training_case())
+    @example(([["aaaa", "abab"], ["xabab", "abab"]], WpTrainerConfig(12, 1)))
+    @example(([["ab@abab", "abab@ab"], ["aaaa@aa"]], WpTrainerConfig(11, 1, None, "@")))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, case):
+        sentences, cfg = case
+        expected = wp_train_oracle(Corpus(sentences).word_counts(), cfg.vocab_size,
+                                   cfg.min_pair_frequency, cfg.seed_suffixes, cfg.morph_delimiter)
+        assert wp_train(Corpus(sentences), cfg).entries == expected
+
+    # entries when merging runs out of pairs (as at the recorded vocab_size 1200)
+    EXHAUSTED = {"baseline": 686, "morphseed": 691, "morphpretok-acontextual": 281}
+
+    @pytest.mark.parametrize("vocab_size", [200, 300, 500])
+    @pytest.mark.parametrize("guidance", sorted(EXHAUSTED))
+    def test_mini_latin_stops_on_vocab_size(self, guidance, vocab_size):
+        # the recorded artifacts all stop when no pair is left; these stop
+        # on vocab_size mid-run, except presegmented ones above 281
+        training = corpus.load_corpus(MINI / "corpus.txt")
+        seeds = delimiter = None
+        if guidance == "morphseed":
+            seeds = tuple(corpus.load_suffixes(MINI / "suffixes.txt"))
+        elif guidance == "morphpretok-acontextual":
+            delimiter = "@"
+            training = presegment.presegment_acontextual(training, corpus.load_lexicon(MINI / "lexicon.tsv"), "@")
+        cfg = WpTrainerConfig(vocab_size, seed_suffixes=seeds, morph_delimiter=delimiter)
+        entries = wp_train(training, cfg).entries
+        assert len(entries) == min(vocab_size, self.EXHAUSTED[guidance])
+        assert entries == wp_train_oracle(training.word_counts(), vocab_size, 2, seeds, delimiter)
 
 
 class TestDelimiterTraining:
