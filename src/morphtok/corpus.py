@@ -20,7 +20,9 @@ from an escape and is not supported.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -44,23 +46,13 @@ def unescape_delimiter(text: str, delimiter: str = DEFAULT_DELIMITER) -> str:
 
 def split_on_delimiter(text: str, delimiter: str = DEFAULT_DELIMITER) -> list[str]:
     """Split on unescaped delimiters only; escaped ones stay in the parts."""
-    parts = []
-    current = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text) and text[i + 1] == delimiter:
-            current.append(text[i : i + 2])
-            i += 2
-        elif ch == delimiter:
-            parts.append("".join(current))
-            current = []
-            i += 1
-        else:
-            current.append(ch)
-            i += 1
-    parts.append("".join(current))
-    return parts
+    return _delimiter_pattern(delimiter).split(text)
+
+
+@functools.cache
+def _delimiter_pattern(delimiter: str) -> re.Pattern:
+    # only the delimiter is ever escaped, so a backslash before one always escapes it
+    return re.compile(r"(?<!\\)" + re.escape(delimiter))
 
 
 def morph_segments(word: str, delimiter: str | None, task: str) -> list[str]:
@@ -147,12 +139,14 @@ def load_corpus(path, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITE
 
 def corpus_sentences(lines, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITER):
     """Sentences of words from ``(lineno, text)`` pairs, as :func:`load_corpus` reads them."""
+    # the delimiter is one character other than "\" and whitespace, so neither
+    # lowercasing nor escaping a whole line moves a word boundary
     for _, line in lines:
-        words = line.split()
+        if lowercase:
+            line = line.lower()
+        words = escape_delimiter(line, delimiter).split()
         if words:
-            if lowercase:
-                words = [w.lower() for w in words]
-            yield [escape_delimiter(w, delimiter) for w in words]
+            yield words
 
 
 @dataclass

@@ -13,7 +13,7 @@ Conventions shared by every metric:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .corpus import CONTINUATION_PREFIX, UNK_TOKEN, GoldItem, GoldSegmentationSet, MorphLexicon
 from .presegment import ACONTEXTUAL, CONTEXTUAL, choose_morphemes
@@ -141,19 +141,9 @@ class EvalReport:
     morphscore: float | None = None
 
     def to_kv(self) -> str:
-        lines = [
-            f"name {self.name}",
-            f"n_words {self.n_words}",
-            f"exact_match {self.exact_match!r}",
-            f"boundary_precision {self.boundary_precision!r}",
-            f"boundary_recall {self.boundary_recall!r}",
-            f"boundary_f1 {self.boundary_f1!r}",
-            f"fertility {self.fertility!r}",
-            f"gold_fertility {self.gold_fertility!r}",
-        ]
-        if self.morphscore is not None:
-            lines.append(f"morphscore {self.morphscore!r}")
-        return "\n".join(lines) + "\n"
+        """One ``name value`` line per field, in declaration order; None is left out."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return "".join(f"{name} {value}\n" for name, value in values if value is not None)
 
 
 def evaluate(

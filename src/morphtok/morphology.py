@@ -155,14 +155,9 @@ def disambiguate(
     if len(segs) == 1:
         return DisambiguationOutcome(segs[0], DisambiguationRule.POS_MATCHED, len(distinct))
 
-    counts = {len(s) for s in segs}
-    if len(counts) == 1:
-        # max() keeps the first maximum, which implements the input-order tie-break
-        chosen = max(segs, key=lambda s: len(s[-1]))
-        return DisambiguationOutcome(
-            chosen, DisambiguationRule.TIE_LONGER_SUFFIX, len(distinct)
-        )
-    most = max(counts)
-    pool = [s for s in segs if len(s) == most]
-    chosen = max(pool, key=lambda s: len(s[-1]))
-    return DisambiguationOutcome(chosen, DisambiguationRule.TIE_MORE_SUBWORDS, len(distinct))
+    # more subwords first, then the longer final morpheme; max() keeps the
+    # first maximum, which implements the input-order tie-break
+    chosen = max(segs, key=lambda s: (len(s), len(s[-1])))
+    same_count = all(len(s) == len(chosen) for s in segs)
+    rule = DisambiguationRule.TIE_LONGER_SUFFIX if same_count else DisambiguationRule.TIE_MORE_SUBWORDS
+    return DisambiguationOutcome(chosen, rule, len(distinct))

@@ -273,8 +273,8 @@ def corpus_log_likelihood(corpus: Corpus, vocab: UlmVocabulary, morph_delimiter:
     return _expected_counts(unit_counts, vocab.log_probs)[1]
 
 
-def _seed_log_probs(unit_counts, cfg: UlmTrainerConfig, protected) -> dict[str, float]:
-    """Initial vocabulary: most frequent substrings plus mandatory entries.
+def _seed_log_probs(unit_counts, cfg: UlmTrainerConfig, exempt) -> dict[str, float]:
+    """Initial vocabulary: most frequent substrings plus the `exempt` entries.
 
     Initial probabilities are proportional to frequency * length (the
     character mass a piece accounts for); seeds absent from the corpus
@@ -287,11 +287,8 @@ def _seed_log_probs(unit_counts, cfg: UlmTrainerConfig, protected) -> dict[str, 
             top = min(i + cfg.max_piece_length, n)
             for j in range(i + 1, top + 1):
                 substr_freq[unit[i:j]] += freq
-    chars = {ch for unit in unit_counts for ch in unit}
     ranked = sorted(substr_freq.items(), key=lambda kv: (-kv[1], kv[0]))
-    selected = {piece for piece, _ in ranked[: cfg.seed_size]}
-    selected |= chars
-    selected |= set(protected)
+    selected = {piece for piece, _ in ranked[: cfg.seed_size]} | exempt
     weights = {p: max(substr_freq.get(p, 0), 1) * len(p) for p in sorted(selected)}
     log_total = math.log(sum(weights.values()))
     return {p: math.log(w) - log_total for p, w in weights.items()}
@@ -350,14 +347,11 @@ def _exact_utilities(prunable, unit_counts, lattices, log_probs):
 
 
 def _prune(log_probs, unit_counts, lattices, trie, cfg: UlmTrainerConfig, exempt):
+    """Drop the least useful non-exempt entries; called only while `log_probs`
+    holds more than cfg.vocab_size entries, all of `exempt` among them."""
     overshoot = len(log_probs) - cfg.vocab_size
-    if overshoot <= 0:
-        return log_probs
     prunable = [p for p in log_probs if p not in exempt]
-    if not prunable:
-        return log_probs
-    k = int(len(prunable) * (1 - cfg.shrinking_factor))
-    k = max(1, min(k, overshoot, len(prunable)))
+    k = max(1, min(int(len(prunable) * (1 - cfg.shrinking_factor)), overshoot))
     if cfg.exact_pruning:
         utilities = _exact_utilities(prunable, unit_counts, lattices, log_probs)
     else:
@@ -385,7 +379,7 @@ def ulm_train(corpus: Corpus, cfg: UlmTrainerConfig) -> UlmVocabulary:
             f"vocab_size {cfg.vocab_size} is below the characters + protected count ({len(exempt)})"
         )
 
-    log_probs = _seed_log_probs(unit_counts, cfg, protected)
+    log_probs = _seed_log_probs(unit_counts, cfg, exempt)
     while True:  # a round's trie and lattices serve its EM steps and its pruning
         trie = prefix_trie(log_probs)  # EM keeps every key, so it fits all round
         lattices = {unit: _lattice(unit, trie) for unit in unit_counts}

@@ -210,9 +210,10 @@ def wp_train(corpus: Corpus, cfg: WpTrainerConfig) -> WpVocabulary:
                 where.pop(pair, None)
                 pairs_of[pair[0]].discard(pair)
                 pairs_of[pair[1]].discard(pair)
-        # a count that fell raises the score of every pair with that symbol,
-        # so those pairs go back on the heap with the pairs whose count moved
-        for pair in delta.keys() | pairs_of[a] | pairs_of[b] | pairs_of[merged]:
+        # a count that fell raises the score of every pair with that symbol, so
+        # those pairs go back on the heap; every pair whose count moved holds
+        # a, b or the merged symbol, so it is among them unless it died
+        for pair in pairs_of[a] | pairs_of[b] | pairs_of[merged]:
             if pair_counts.get(pair, 0) >= min_pc:
                 heapq.heappush(heap, heap_key(pair))
 

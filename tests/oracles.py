@@ -13,6 +13,39 @@ from fractions import Fraction
 CONTINUATION = "##"
 
 
+def split_on_delimiter_oracle(text, delimiter="@"):
+    """Split on unescaped delimiters only; escaped ones stay in the parts."""
+    parts = []
+    current = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text) and text[i + 1] == delimiter:
+            current.append(text[i : i + 2])
+            i += 2
+        elif ch == delimiter:
+            parts.append("".join(current))
+            current = []
+            i += 1
+        else:
+            current.append(ch)
+            i += 1
+    parts.append("".join(current))
+    return parts
+
+
+def corpus_sentences_oracle(lines, lowercase=False, delimiter="@"):
+    """Sentences of words from lines, each word lowercased and escaped on its own."""
+    sentences = []
+    for line in lines:
+        words = line.split()
+        if words:
+            if lowercase:
+                words = [w.lower() for w in words]
+            sentences.append([w.replace(delimiter, "\\" + delimiter) for w in words])
+    return sentences
+
+
 def greedy_segment(segment, entries, first_is_continuation):
     """Longest-prefix-first WordPiece walk; None when a position is stuck."""
     pieces = []

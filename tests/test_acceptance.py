@@ -35,7 +35,8 @@ GOLD_CTX_FERTILITY = 743 / 376
 GOLD_ACTX_FERTILITY = 692 / 351
 
 
-def train_config(algo, guidance, out_path):
+def train_args(algo, guidance, out_path):
+    """The `train` command line of one acceptance configuration."""
     args = ["train", "--algorithm", algo, "--guidance", guidance, "--output", str(out_path)]
     args += COMMON_ARGS
     if algo == "ulm":
@@ -48,7 +49,11 @@ def train_config(algo, guidance, out_path):
         args += ["--lexicon", str(DATA / "lexicon.tsv")]
     if guidance == "morphseed":
         args += ["--suffixes", str(DATA / "suffixes.txt")]
-    assert cli.main(args) == 0, f"training failed for {algo}/{guidance}"
+    return args
+
+
+def train_config(algo, guidance, out_path):
+    assert cli.main(train_args(algo, guidance, out_path)) == 0, f"training failed for {algo}/{guidance}"
 
 
 @pytest.fixture(scope="session")

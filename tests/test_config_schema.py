@@ -166,6 +166,31 @@ CONTEXTUAL_RUN = ["--algorithm", "wordpiece", "--guidance", "morphpretok-context
                   "--vocab-size", "200"]
 CONTEXTUAL_ENCODING = ("bcbc34c667def069c54599addf393e93c8cfc536bd57911f1e3cccd91fa0fd26", 6709)
 
+# SHA-256 and line count of `evaluate --format kv` for both golden artifacts,
+# recorded before the report lines were derived from the report's fields
+GOLDEN_KV = {
+    "acontextual": ("gold-acontextual.tsv",
+                    "9f76260934abd43be0795a4aa247b6ad18baa4e71030811556e9534d277b00fa", 19),
+    "contextual": ("gold-contextual.tsv",
+                   "b1e90a4b11eefa130bb28560af2aa01e99c33d42b54c896e0ea3861bacd9e0ee", 19),
+}
+
+# baseline artifacts small enough that decoding splits words: the bundled
+# corpus encodes to 168,103 WordPiece and 77,473 ULM pieces, so longest-match
+# and Viterbi path choice shows in the output; SHA-256 and line count of the
+# bundled corpus and of `unseen_text`, recorded before the delimiter was split
+# with one pattern
+PATH_CHOICE_RUNS = {
+    "wordpiece": (["--algorithm", "wordpiece", "--vocab-size", "300"], {
+        "corpus": ("96c55af98773e643274718c9104b66ac80add3b91b434c3c0fdef43d6dcb81d4", 6709),
+        "unseen": ("a0208e0c2d4e430e4bfe5528d93fef12917642a0a07f676451156902494457b1", 402),
+    }),
+    "ulm": (["--algorithm", "ulm", "--vocab-size", "300", "--seed-size", "8000", "--max-piece-length", "10"], {
+        "corpus": ("538832c81284a4d359f9010b4b8ca4e2ccfdf0ed8118918c9bd0a93602a47efe", 6709),
+        "unseen": ("aa1d80386f0b7a111376d4e4e2dcdb10779a7622944abf2fc57a1764e2ceaeaa", 402),
+    }),
+}
+
 
 def digest_and_lines(path: Path) -> tuple[str, int]:
     data = path.read_bytes()
@@ -221,3 +246,27 @@ def test_golden_contextual_encode_output(tmp_path):
     assert cli.main(["encode", "--artifact", artifact, "--input", str(MINI / "tagged.tsv"), "--tagged",
                      "--lexicon", str(MINI / "lexicon.tsv"), "--output", str(out)]) == 0
     assert digest_and_lines(out) == CONTEXTUAL_ENCODING
+
+
+@pytest.mark.parametrize("algorithm", sorted(PATH_CHOICE_RUNS))
+def test_golden_path_choice_encode_output(algorithm, tmp_path):
+    flags, expected = PATH_CHOICE_RUNS[algorithm]
+    artifact = str(tmp_path / "baseline.tok")
+    assert cli.main(["train", *flags, "--guidance", "baseline", "--corpus", str(MINI / "corpus.txt"),
+                     "--output", artifact]) == 0
+    unseen = tmp_path / "unseen.txt"
+    unseen.write_text(unseen_text(), encoding="utf-8")
+    for source, text in (("corpus", MINI / "corpus.txt"), ("unseen", unseen)):
+        out = tmp_path / f"{source}.out"
+        assert cli.main(["encode", "--artifact", artifact, "--input", str(text), "--output", str(out)]) == 0
+        assert digest_and_lines(out) == expected[source], source
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_KV))
+def test_golden_kv_report_bytes(mode, tmp_path):
+    gold, digest, lines = GOLDEN_KV[mode]
+    out = tmp_path / "report.kv"
+    assert cli.main(["evaluate", "--artifact", str(GOLDEN / "wp.tok"), "--artifact", str(GOLDEN / "ulm.tok"),
+                     "--gold", str(MINI / gold), "--mode", mode, "--lexicon", str(MINI / "lexicon.tsv"),
+                     "--format", "kv", "--output", str(out)]) == 0
+    assert digest_and_lines(out) == (digest, lines)

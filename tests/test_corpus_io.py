@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from morphtok.corpus import (
     Corpus,
+    corpus_sentences,
     decode_lines,
     escape_delimiter,
     iter_lines,
@@ -23,6 +24,14 @@ from morphtok.corpus import (
     unescape_delimiter,
 )
 from morphtok.errors import LoaderError
+from oracles import corpus_sentences_oracle, split_on_delimiter_oracle
+
+# delimiters the CLI accepts, regex metacharacters and cased letters among them
+DELIMITERS = "@#|.*+?^$()[]{}Ii"
+# whitespace str.split() splits on, final and medial sigma, a character whose
+# lowercase is two characters, a cased delimiter, combining marks, a
+# zero-width space and the escape character
+TRICKY = " \t\x0b\x0c\r\x1c\x85\xa0\u1680\u2000\u2028\u2029\u202f\u205f\u3000ΣσςİI\u0301\u0345\u200b\\"
 
 
 def write(tmp_path, name, text):
@@ -59,6 +68,21 @@ class TestEscaping:
 
     def test_split_no_delimiter(self):
         assert split_on_delimiter("cano", "@") == ["cano"]
+
+    @given(st.sampled_from(DELIMITERS), st.text(alphabet="ab\\" + DELIMITERS))
+    @example("@", "a\\\\@b@@\\")
+    def test_split_matches_scanning_loop(self, delimiter, text):
+        assert split_on_delimiter(text, delimiter) == split_on_delimiter_oracle(text, delimiter)
+
+    @given(st.lists(st.text(alphabet=st.characters() | st.sampled_from(TRICKY + DELIMITERS))),
+           st.booleans(), st.sampled_from("@#Ii"))
+    @example(["I"], True, "i")
+    @example(["ΑΣ ΒΣ\u2028Σ"], True, "@")
+    def test_line_escape_matches_per_word_escape(self, lines, lowercase, delimiter):
+        # a whole line lowercased and escaped at once gives the words that
+        # lowercasing and escaping each word on its own gives
+        got = list(corpus_sentences(enumerate(lines, start=1), lowercase, delimiter))
+        assert got == corpus_sentences_oracle(lines, lowercase, delimiter)
 
 
 class TestLoadCorpus:

@@ -13,6 +13,7 @@ import pytest
 
 from morphtok.corpus import GoldItem, GoldSegmentationSet, MorphLexicon
 from morphtok.evaluation import (
+    EvalReport,
     boundaries,
     boundary_prf,
     build_gold_set,
@@ -313,3 +314,10 @@ class TestFormatComparison:
         kv = self.reports()[0].to_kv()
         for key in ("exact_match", "boundary_f1", "fertility", "gold_fertility", "morphscore"):
             assert f"{key} " in kv
+
+    def test_kv_without_morphscore(self):
+        report = EvalReport("t", 2, 0.5, 1.0, 0.25, 0.4, 1.5, 2.0)
+        assert report.to_kv() == (
+            "name t\nn_words 2\nexact_match 0.5\nboundary_precision 1.0\nboundary_recall 0.25\n"
+            "boundary_f1 0.4\nfertility 1.5\ngold_fertility 2.0\n"
+        )
