@@ -152,9 +152,12 @@ def load_tokenizer(path):
                 if flag == "1":
                     protected.add(piece)
             total = sum(math.exp(lp) for lp in log_probs.values())
-            if abs(total - 1.0) > 1e-6:
+            if not abs(total - 1.0) <= 1e-6:  # a NaN log-prob makes the sum NaN
                 raise LoaderError(f"{path}: entry probabilities sum to {total}, expected 1")
-            vocab = UlmVocabulary(log_probs, frozenset(protected), float(header["boost"]))
+            boost = float(header["boost"])
+            if not math.isfinite(boost):
+                raise LoaderError(f"{path}: boost {boost} is not finite")
+            vocab = UlmVocabulary(log_probs, frozenset(protected), boost)
             model = UlmTokenizer(vocab, cfg, guidance)
         stored, digest = header["config_digest"], config_digest(model)
         if stored != digest:

@@ -14,6 +14,7 @@ import sys
 from . import artifacts, evaluation, presegment, ulm, wordpiece
 from .corpus import (
     DEFAULT_DELIMITER,
+    check_delimiter,
     corpus_sentences,
     decode_lines,
     iter_lines,
@@ -41,20 +42,11 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def _parse_delimiter(value: str) -> str:
-    # "\" escapes the delimiter in text and whitespace separates words
-    if len(value) != 1 or value == "\\" or value.isspace():
-        raise ValueError(
-            f"morph delimiter must be one character other than '\\' and whitespace, got {value!r}"
-        )
-    return value
-
-
 # the train options a trainer config cannot declare: name -> (parser, default).
 # The corpus pass reads all four; `seed` seeds the sentence sampling, and the
 # delimiter reaches the trainer config only with presegmented training data.
 CORPUS_OPTIONS = {
-    "morph_delimiter": (_parse_delimiter, DEFAULT_DELIMITER),
+    "morph_delimiter": (check_delimiter, DEFAULT_DELIMITER),
     "sample_fraction": (float, 1.0),
     "seed": (int, 0),
     "lowercase": (_parse_bool, False),
@@ -266,9 +258,12 @@ def cmd_presegment(args) -> int:
     return 0
 
 
-# the most distinct (word, tag) inputs whose output text `encode` keeps; once
-# full, the memo takes no more, so memory stays bounded on endless input
+# the most distinct (word, tag) inputs whose output text `encode` keeps, and
+# the most characters (word plus text) it keeps for them; a word that would
+# overrun either is encoded again when it recurs, so memory stays bounded on
+# endless input however long its words
 ENCODE_MEMO_CAP = 1 << 16
+ENCODE_MEMO_CHARS = 1 << 20
 
 
 def _artifact_lexicon(path, model, loaded: dict):
@@ -303,8 +298,10 @@ def cmd_encode(args) -> int:
     # a word's output text depends only on (word, tag); every word yields at
     # least one piece, so a line is its words' texts joined with spaces
     memo: dict[tuple[str, str | None], str] = {}
+    held = 0  # characters in the memo's words and texts
 
     def render(token) -> str:
+        nonlocal held
         text = memo.get(token)
         if text is None:
             pieces = encoder(*token)
@@ -312,8 +309,10 @@ def cmd_encode(args) -> int:
                 pieces = ["".join(normalize_pieces(pieces))]
             # the joining spaces neither form nor split an escaped delimiter
             text = unescape_delimiter(" ".join(pieces), delimiter)
-            if len(memo) < ENCODE_MEMO_CAP:
+            size = len(token[0]) + len(text)
+            if len(memo) < ENCODE_MEMO_CAP and held + size <= ENCODE_MEMO_CHARS:
                 memo[token] = text
+                held += size
         return text
 
     separator = "\n" if args.granularity == "word" else " "

@@ -34,6 +34,16 @@ CONTINUATION_PREFIX = "##"
 UNK_TOKEN = "[UNK]"
 
 
+def check_delimiter(delimiter: str) -> str:
+    """`delimiter` if it is one character other than "\\" (which escapes it
+    in text) and whitespace (which separates words); else ValueError."""
+    if len(delimiter) != 1 or delimiter == "\\" or delimiter.isspace():
+        raise ValueError(
+            f"morph delimiter must be one character other than '\\' and whitespace, got {delimiter!r}"
+        )
+    return delimiter
+
+
 def escape_delimiter(text: str, delimiter: str = DEFAULT_DELIMITER) -> str:
     """Escape literal delimiter characters in raw text ("@" -> "\\@")."""
     return text.replace(delimiter, "\\" + delimiter)

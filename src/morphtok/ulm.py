@@ -17,6 +17,11 @@ One lattice core serves decoding, EM and both pruning utilities:
 prefix trie (`corpus.prefix_trie`), `_viterbi` scores its best path and
 `_forward`/`_backward` its marginals.
 
+A path scores the correctly rounded sum of its edge weights. Viterbi
+keeps that sum exactly, as an integer over one power-of-two scale, with
+a back-pointer per position, so decoding is linear in the unit length
+except where two paths tie exactly on score and piece count.
+
 With a morph delimiter configured, words split into morpheme segments
 and each segment gets its own lattice, so no piece ever spans a
 morpheme boundary.
@@ -28,7 +33,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import UNK_TOKEN, Corpus, morph_segments, prefix_trie
+from .corpus import UNK_TOKEN, Corpus, check_delimiter, morph_segments, prefix_trie
 
 NEG_INF = float("-inf")
 
@@ -48,6 +53,10 @@ class UlmTrainerConfig:
     exact_pruning: bool = False
     morph_delimiter: str | None = None
 
+    def __post_init__(self):
+        if self.morph_delimiter is not None:
+            check_delimiter(self.morph_delimiter)
+
 
 @dataclass
 class UlmVocabulary:
@@ -61,6 +70,7 @@ class UlmVocabulary:
     protected: frozenset[str] = frozenset()
     boost: float = 0.0
     _trie: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _weights: tuple[dict, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __contains__(self, piece: str) -> bool:
         return piece in self.log_probs
@@ -73,6 +83,12 @@ class UlmVocabulary:
         if self._trie is None:
             self._trie = prefix_trie(self.log_probs)
         return self._trie
+
+    def weights(self) -> tuple[dict[str, int | None], int]:
+        """Exact decode-time edge weights and their scale (see `_exact_weights`)."""
+        if self._weights is None:
+            self._weights = _exact_weights(self.log_probs, self.protected, self.boost)
+        return self._weights
 
 
 def _logsumexp(values: list[float]) -> float:
@@ -115,54 +131,84 @@ def _lattice(unit: str, trie: dict) -> list[list[tuple[int, str]]]:
     return out
 
 
-def _better(cand, cur) -> bool:
-    """Path preference: higher score, then fewer pieces, then smaller sequence."""
-    if cand[0] != cur[0]:
-        return cand[0] > cur[0]
-    if cand[1] != cur[1]:
-        return cand[1] < cur[1]
-    return cand[2] < cur[2]
+def _exact_weights(log_probs, protected=frozenset(), boost=0.0) -> tuple[dict[str, int | None], int]:
+    """Edge weights as exact integers over one power-of-two `scale`: piece ->
+    weight * scale, or None for -inf. A protected piece's boost is added to
+    its float log-prob first, as a decode always did."""
+    floats = {p: lp + boost if boost and p in protected else lp for p, lp in log_probs.items()}
+    ratios = {p: None if w == NEG_INF else w.as_integer_ratio() for p, w in floats.items()}
+    scale = max((r[1] for r in ratios.values() if r), default=1)
+    return {p: None if r is None else r[0] * (scale // r[1]) for p, r in ratios.items()}, scale
 
 
-def _viterbi(lattice, log_probs, protected=frozenset(), boost=0.0):
-    """Best (score, piece_count, pieces, weights) over the lattice, or None.
+def _viterbi(lattice, weights, scale):
+    """Best (score, piece_count, pieces) over the lattice, or None.
 
-    A path scores the correctly-rounded sum (math.fsum) of its edge
-    weights, so two orderings of one piece multiset score identically
-    and fall through to the piece-count and lexicographic tie-breaks.
-    Left-to-right accumulation would instead let intermediate rounding
-    pick between such paths by accident.
+    A path scores the correctly-rounded sum of its edge weights, so two
+    orderings of one piece multiset score identically and fall through to
+    the piece-count and lexicographic tie-breaks. Each node keeps the
+    exact sum of its best path as an integer over `scale` (see
+    `_exact_weights`; None once an edge is -inf), and int true division
+    rounds it correctly, as math.fsum of the weights would. Each node also
+    keeps a back-pointer, so an edge costs O(1) outside exact ties of
+    score and count. There the two paths into a node share every piece up
+    to their last common node, and the first pieces after it decide.
     """
     n = len(lattice)
-    best: list[tuple[float, int, tuple[str, ...], tuple[float, ...]] | None]
-    best = [None] * (n + 1)
-    best[0] = (0.0, 0, (), ())
+    score: list[float | None] = [None] * (n + 1)
+    count = [0] * (n + 1)
+    total: list[int | None] = [None] * (n + 1)
+    back = [0] * (n + 1)
+    last: list[str] = [""] * (n + 1)
+    score[0] = 0.0
+    total[0] = 0
     for i in range(n):
-        b = best[i]
-        if b is None:
+        s_i = score[i]
+        if s_i is None:
             continue
-        _, count_i, seq_i, weights_i = b
+        t_i = total[i]
+        c = count[i] + 1
         for j, piece in lattice[i]:
-            w = log_probs[piece]
-            if boost and piece in protected:
-                w += boost
-            weights = weights_i + (w,)
-            cand = (math.fsum(weights), count_i + 1, seq_i + (piece,), weights)
-            cur = best[j]
-            if cur is None or _better(cand, cur):
-                best[j] = cand
-    return best[n]
+            w = weights[piece]
+            if t_i is None or w is None:
+                t, s = None, NEG_INF
+            else:
+                t = t_i + w
+                s = t / scale
+            cur = score[j]
+            if cur is not None and s <= cur:
+                if s < cur or c > count[j]:
+                    continue
+                if c == count[j]:  # exact tie: the smaller piece sequence wins
+                    u, pu, v, pv = i, piece, back[j], last[j]
+                    while u != v:
+                        if u > v:
+                            u, pu = back[u], last[u]
+                        else:
+                            v, pv = back[v], last[v]
+                    if pu >= pv:
+                        continue
+            score[j], count[j], total[j], back[j], last[j] = s, c, t, i, piece
+    if score[n] is None:
+        return None
+    pieces = []
+    j = n
+    while j:
+        pieces.append(last[j])
+        j = back[j]
+    pieces.reverse()
+    return score[n], count[n], pieces
 
 
 def ulm_encode(word: str, vocab: UlmVocabulary, morph_delimiter: str | None = None) -> list[str]:
     """Viterbi-decode a word; any unreachable position maps the whole word
     to the unknown token. Protected entries receive the vocabulary's
     boost on their lattice edges."""
-    log_probs = vocab.log_probs
     trie = vocab.trie()
+    weights, scale = vocab.weights()
     pieces: list[str] = []
     for seg in morph_segments(word, morph_delimiter, "encode"):
-        res = _viterbi(_lattice(seg, trie), log_probs, vocab.protected, vocab.boost)
+        res = _viterbi(_lattice(seg, trie), weights, scale)
         if res is None:
             return [UNK_TOKEN]
         pieces.extend(res[2])
@@ -300,9 +346,10 @@ def _approximate_utilities(prunable, unit_counts, lattices, trie, log_probs):
     usage(p) * (logprob(p) - best alternative for p's string); unused
     entries cost nothing to remove. `trie` holds the entries of `log_probs`.
     """
+    weights, scale = _exact_weights(log_probs)
     usage: Counter = Counter()
     for unit, freq in unit_counts.items():
-        res = _viterbi(lattices[unit], log_probs)
+        res = _viterbi(lattices[unit], weights, scale)
         if res is None:
             continue
         for piece in res[2]:
@@ -315,7 +362,7 @@ def _approximate_utilities(prunable, unit_counts, lattices, trie, log_probs):
             continue
         lattice = _lattice(p, trie)
         lattice[0].pop()  # p's own edge, the longest from position 0
-        alt = _viterbi(lattice, log_probs)
+        alt = _viterbi(lattice, weights, scale)
         utilities[p] = math.inf if alt is None else f * (log_probs[p] - alt[0])
     return utilities
 

@@ -41,7 +41,7 @@ import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .corpus import CONTINUATION_PREFIX, UNK_TOKEN, Corpus, morph_segments, prefix_trie
+from .corpus import CONTINUATION_PREFIX, UNK_TOKEN, Corpus, check_delimiter, morph_segments, prefix_trie
 
 
 @dataclass
@@ -54,6 +54,10 @@ class WpTrainerConfig:
     min_pair_frequency: int = 2
     seed_suffixes: tuple[str, ...] | None = field(default=None, metadata={"option": False})
     morph_delimiter: str | None = None
+
+    def __post_init__(self):
+        if self.morph_delimiter is not None:
+            check_delimiter(self.morph_delimiter)
 
 
 @dataclass

@@ -230,6 +230,45 @@ def viterbi_oracle(word, log_probs, protected=frozenset(), boost=0.0, delimiter=
     return out
 
 
+def _better(cand, cur) -> bool:
+    """Path preference: higher score, then fewer pieces, then smaller sequence."""
+    if cand[0] != cur[0]:
+        return cand[0] > cur[0]
+    if cand[1] != cur[1]:
+        return cand[1] < cur[1]
+    return cand[2] < cur[2]
+
+
+def viterbi_lattice_oracle(lattice, log_probs, protected=frozenset(), boost=0.0):
+    """Best (score, piece_count, pieces, weights) over the lattice, or None.
+
+    A path scores the correctly-rounded sum (math.fsum) of its edge
+    weights, so two orderings of one piece multiset score identically
+    and fall through to the piece-count and lexicographic tie-breaks.
+    Left-to-right accumulation would instead let intermediate rounding
+    pick between such paths by accident.
+    """
+    n = len(lattice)
+    best: list[tuple[float, int, tuple[str, ...], tuple[float, ...]] | None]
+    best = [None] * (n + 1)
+    best[0] = (0.0, 0, (), ())
+    for i in range(n):
+        b = best[i]
+        if b is None:
+            continue
+        _, count_i, seq_i, weights_i = b
+        for j, piece in lattice[i]:
+            w = log_probs[piece]
+            if boost and piece in protected:
+                w += boost
+            weights = weights_i + (w,)
+            cand = (math.fsum(weights), count_i + 1, seq_i + (piece,), weights)
+            cur = best[j]
+            if cur is None or _better(cand, cur):
+                best[j] = cand
+    return best[n]
+
+
 def strip_markers(pieces):
     out = [pieces[0]]
     for p in pieces[1:]:

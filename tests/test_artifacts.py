@@ -156,6 +156,24 @@ class TestValidation:
         with pytest.raises(LoaderError):
             load_tokenizer(path)
 
+    def test_nan_logprob_rejected(self, tmp_path):
+        # NaN passes a plain `> 1e-6` test of the probability sum
+        path = tmp_path / "a.tok"
+        save_tokenizer(ulm_model(), path)
+        path.write_text(path.read_text(encoding="utf-8") + "zz\tnan\t0\n", encoding="utf-8")
+        with pytest.raises(LoaderError, match="sum to nan"):
+            load_tokenizer(path)
+
+    @pytest.mark.parametrize("boost", ["inf", "nan"])
+    def test_non_finite_boost_rejected(self, tmp_path, boost):
+        path = tmp_path / "a.tok"
+        save_tokenizer(ulm_model(), path)
+        text = path.read_text(encoding="utf-8")
+        assert "# boost 0.5\n" in text
+        path.write_text(text.replace("# boost 0.5\n", f"# boost {boost}\n"), encoding="utf-8")
+        with pytest.raises(LoaderError, match="boost .* is not finite"):
+            load_tokenizer(path)
+
     def test_missing_config_key_rejected(self, tmp_path):
         path = tmp_path / "a.tok"
         save_tokenizer(ulm_model(), path)
@@ -189,6 +207,19 @@ class TestValidation:
         path.write_text(text.replace(edit[0], edit[1]), encoding="utf-8")
         with pytest.raises(LoaderError, match=match):
             load_tokenizer(path)
+
+
+class TestDelimiterRule:
+    @pytest.mark.parametrize("config_class", [WpTrainerConfig, UlmTrainerConfig])
+    @pytest.mark.parametrize("delimiter", ["xy", "", "\\", " ", "\t"])
+    def test_config_rejects_delimiter(self, config_class, delimiter):
+        with pytest.raises(ValueError, match="morph delimiter must be one character"):
+            config_class(morph_delimiter=delimiter)
+
+    @pytest.mark.parametrize("config_class", [WpTrainerConfig, UlmTrainerConfig])
+    def test_config_accepts_one_character(self, config_class):
+        assert config_class(morph_delimiter="#").morph_delimiter == "#"
+        assert config_class().morph_delimiter is None
 
 
 class TestDigest:

@@ -229,10 +229,14 @@ class TestTrain:
         manifest = (files["dir"] / "wp.tok.manifest").read_text(encoding="utf-8")
         assert "sentences 2" in manifest  # round(0.5 * 3) = 2
 
-    def test_multichar_delimiter_rejected(self, files):
+    def test_multichar_delimiter_rejected(self, files, capsys):
         out = str(files["dir"] / "wp.tok")
         code = cli.main(train_args(files, out) + ["--morph-delimiter", "@@"])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --morph-delimiter: bad value for 'morph_delimiter': morph delimiter must be "
+            "one character other than '\\' and whitespace, got '@@'\n"
+        )
 
     @pytest.mark.parametrize("delimiter", ["\\", " ", "\t"])
     def test_escape_or_space_delimiter_rejected(self, files, capsys, delimiter):
@@ -388,6 +392,21 @@ class TestEncode:
         out = str(files["dir"] / "wp.tok")
         cli.main(train_args(files, out, "wordpiece", "morphpretok-acontextual"))
         return out
+
+    @pytest.mark.parametrize("algorithm", ["wordpiece", "ulm"])
+    def test_artifact_multichar_delimiter_is_input_error(self, files, capsys, algorithm):
+        # the config rejects the delimiter the header names, before its digest is checked
+        path = files["dir"] / "xy.tok"
+        assert cli.main(train_args(files, str(path), algorithm, "morphpretok-acontextual")) == 0
+        text = path.read_text(encoding="utf-8")
+        assert "# morph_delimiter @\n" in text
+        path.write_text(text.replace("# morph_delimiter @\n", "# morph_delimiter xy\n"), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["encode", "--artifact", str(path), "--input", files["corpus"]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "morph delimiter must be one character" in err
 
     def test_sentence_granularity(self, files, artifact):
         out = files["dir"] / "enc.txt"
@@ -554,21 +573,31 @@ class TestEncode:
             return counted
 
         monkeypatch.setattr(artifacts, "word_encoder", counting_word_encoder)
+        long_word = "portas" * 200  # not in the lexicon, so encoded as it is
+        source = files["dir"] / "corpus-and-long.txt"
+        source.write_text((MINI / "corpus.txt").read_text(encoding="utf-8")
+                          + f"{long_word} amat {long_word}\n", encoding="utf-8")
         texts = {}
-        for cap in (cli.ENCODE_MEMO_CAP, 2):
+        limits = [(cli.ENCODE_MEMO_CAP, cli.ENCODE_MEMO_CHARS), (2, cli.ENCODE_MEMO_CHARS),
+                  (cli.ENCODE_MEMO_CAP, len(long_word) - 1)]
+        for cap, chars in limits:
             monkeypatch.setattr(cli, "ENCODE_MEMO_CAP", cap)
+            monkeypatch.setattr(cli, "ENCODE_MEMO_CHARS", chars)
             calls.clear()
-            out = files["dir"] / f"enc-{cap}.txt"
-            assert cli.main(["encode", "--artifact", artifact, "--input", str(MINI / "corpus.txt"),
+            out = files["dir"] / f"enc-{cap}-{chars}.txt"
+            assert cli.main(["encode", "--artifact", artifact, "--input", str(source),
                              "--lexicon", lexicon, "--output", str(out)]) == 0
-            texts[cap] = out.read_text(encoding="utf-8")
-            n_tokens = len(texts[cap].split())
+            texts[cap, chars] = out.read_text(encoding="utf-8")
+            n_tokens = len(texts[cap, chars].split())
             distinct = len(set(calls))
             if cap == 2:  # only the first two words are kept
                 assert len(calls) > distinct
+            elif chars < len(long_word):  # the long word never fits, short ones do until full
+                assert calls.count(long_word) == 2
+                assert distinct < len(calls) < n_tokens
             else:
                 assert len(calls) == distinct < n_tokens
-        assert texts[cli.ENCODE_MEMO_CAP] == texts[2]
+        assert texts[limits[0]] == texts[limits[1]] == texts[limits[2]]
 
     def test_same_word_two_tags_encode_apart(self, tmp_path, capsys):
         artifact = str(tmp_path / "ctx.tok")

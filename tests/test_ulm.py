@@ -1,19 +1,24 @@
 """Unigram-LM seeding, EM, pruning, and Viterbi decoding."""
 
 import math
+import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphtok.corpus import Corpus, prefix_trie
+from morphtok.corpus import Corpus, load_corpus, prefix_trie
 from morphtok.ulm import (
     UlmTrainerConfig,
     UlmVocabulary,
+    _exact_weights,
     _lattice,
     _logsumexp,
+    _viterbi,
     corpus_log_likelihood,
     em_step,
     ulm_encode,
@@ -21,9 +26,10 @@ from morphtok.ulm import (
     ulm_train,
 )
 
-from oracles import em_step_oracle, lattice_oracle, viterbi_oracle
+from oracles import em_step_oracle, lattice_oracle, viterbi_lattice_oracle, viterbi_oracle
 
 UNK = "[UNK]"
+MINI = Path(__file__).resolve().parent.parent / "data" / "mini-latin"
 
 
 def vocab_from(probs, protected=(), boost=0.0):
@@ -63,6 +69,12 @@ class TestViterbi:
         lp = {p: -1.0 for p in ("a", "aa", "aaa")}
         vocab = UlmVocabulary(lp)
         assert ulm_encode("aaaa", vocab) == ["a", "aaa"]
+
+    def test_tie_prefers_smaller_sequence_over_first_arrival(self):
+        # (ba, bbab, a) and (babb, a, ba) both score -5.5 in 3 pieces; the
+        # second reaches the end first, from position 5
+        lp = {"a": -1.5, "aab": -1.5, "b": -1.5, "ba": -2.0, "babb": -2.0, "bb": -2.0, "bba": -2.0, "bbab": -2.0}
+        assert ulm_encode("babbaba", UlmVocabulary(lp)) == ["ba", "bbab", "a"]
 
     def test_delimiter_splits_lattice(self):
         vocab = vocab_from({"ab": 0.8, "a": 0.1, "b": 0.1})
@@ -109,32 +121,94 @@ class TestBoost:
         )
 
 
+# log-probs that force exact path ties: dyadic values, whose sums are exact;
+# values whose sums round (-0.1 + -0.7 != -0.8); and -inf
+TIE_PRONE = [-1.0, -0.5, -1.5, -0.1, -0.7, -1.1, -2.3, -0.8, -3.0, float("-inf")]
+
+
 @st.composite
-def ulm_instance(draw):
-    pieces = draw(
-        st.sets(st.text(alphabet="ab", min_size=1, max_size=3), min_size=1, max_size=50)
-    )
-    pieces = sorted(pieces)
-    logs = draw(
-        st.lists(
-            st.floats(min_value=-12.0, max_value=-0.05),
-            min_size=len(pieces),
-            max_size=len(pieces),
-        )
-    )
-    word = draw(st.text(alphabet="ab", min_size=1, max_size=10))
-    return dict(zip(pieces, logs)), word
+def ulm_instance(draw, max_word=10):
+    """Log-probs over pieces of "ab", some protected, a boost and a word.
+    Half the instances draw every log-prob from TIE_PRONE, half as floats.
+    Sizes and strings come from a seeded `random.Random`, whose choices
+    spread evenly where hypothesis's lean to the small and the first, so
+    long words, large vocabularies and mixed weights are common."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    pieces = sorted({"".join(rng.choices("ab", k=rng.randint(1, 4))) for _ in range(rng.randint(1, 50))})
+    if rng.random() < 0.5:
+        logs = [rng.choice(TIE_PRONE) for _ in pieces]
+    else:
+        logs = draw(st.lists(st.floats(min_value=-12.0, max_value=-0.05),
+                             min_size=len(pieces), max_size=len(pieces)))
+    protected = frozenset(p for p in pieces if rng.random() < 0.3)
+    boost = rng.choice([0.0, 0.5])
+    word = "".join(rng.choices("ab", k=rng.randint(1, max_word)))
+    return dict(zip(pieces, logs)), protected, boost, word
 
 
 class TestViterbiOracle:
     @given(ulm_instance())
     @settings(max_examples=300)
     def test_matches_enumeration(self, case):
-        log_probs, word = case
-        vocab = UlmVocabulary(log_probs)
-        expected = viterbi_oracle(word, log_probs)
+        log_probs, protected, boost, word = case
+        vocab = UlmVocabulary(log_probs, protected, boost)
+        expected = viterbi_oracle(word, log_probs, protected, boost)
         got = ulm_encode(word, vocab)
         assert got == (expected if expected is not None else [UNK])
+
+    @given(ulm_instance(max_word=300))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_tuple_fsum_decoder(self, case):
+        # the decoder that kept each node's whole path and fsum-med it per edge
+        log_probs, protected, boost, word = case
+        lattice = _lattice(word, prefix_trie(log_probs))
+        expected = viterbi_lattice_oracle(lattice, log_probs, protected, boost)
+        got = _viterbi(lattice, *_exact_weights(log_probs, protected, boost))
+        if expected is None:
+            assert got is None
+        else:
+            score, count, pieces = got
+            assert (score, count, tuple(pieces)) == expected[:3]
+
+    def test_exact_sum_is_fsum(self):
+        # left to right, -0.1 + -0.7 + -1.1 rounds twice; the exact sum once
+        log_probs = {"a": -0.1, "b": -0.7, "c": -1.1}
+        lattice = _lattice("abc", prefix_trie(log_probs))
+        score, count, pieces = _viterbi(lattice, *_exact_weights(log_probs))
+        assert score == math.fsum([-0.1, -0.7, -1.1]) != (-0.1 + -0.7) + -1.1
+        assert (count, pieces) == (3, ["a", "b", "c"])
+
+
+class TestDecodeWork:
+    def test_memory_per_character_stays_flat(self):
+        # words of 1k, 2k and 4k characters from live pieces of the mini-latin
+        # baseline vocabulary; a decoder that copies each node's path per edge
+        # allocates in proportion to the path, so its bytes per character grow
+        vocab = ulm_train(load_corpus(MINI / "corpus.txt"),
+                          UlmTrainerConfig(vocab_size=1200, seed_size=8000, max_piece_length=10))
+        live = sorted(p for p, lp in vocab.log_probs.items() if lp != float("-inf"))
+        rng = random.Random(0)
+        ulm_encode("a", vocab)  # build the trie and weights outside the measurement
+        per_char = {}
+        for n in (1000, 2000, 4000):
+            word = ""
+            while len(word) < n:
+                word += rng.choice(live)
+            word = word[:n]
+            # CPython reuses up to 2,000 freed 2-tuples without an allocation
+            # tracemalloc sees; holding more empties that free list, so the
+            # lattice edges of the 1k word are counted like the others'
+            held = [(k, k) for k in range(5000)]
+            tracemalloc.start()
+            try:
+                pieces = ulm_encode(word, vocab)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del held
+            assert "".join(pieces) == word
+            per_char[n] = peak / n
+        assert per_char[4000] <= 1.5 * per_char[1000], per_char
 
 
 @st.composite
