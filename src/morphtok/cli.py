@@ -173,17 +173,19 @@ def cmd_train(args) -> int:
     opt = _resolve_options(args)
     guidance = args.guidance
     mode = artifacts.GUIDANCE_MODES[guidance]
-    delimiter = opt["morph_delimiter"]
-
-    lexicon = _load_checked_lexicon(args.lexicon, delimiter) if args.lexicon else None
-    mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping else None
-    suffixes = load_suffixes(args.suffixes) if args.suffixes else None
-
     reads = MODE_INPUTS[mode] + ("suffixes",) * (guidance == "morphseed")
     for name in ("lexicon", "suffixes"):
         if name in reads and not getattr(args, name):
             raise ValueError(f"guidance {guidance!r} requires {_flag(name)}")
     _warn_unread(args, reads, f"guidance {guidance!r}")
+    # an artifact without presegmentation records no delimiter: `encode` escapes "@"
+    delimiter = opt["morph_delimiter"] if mode else DEFAULT_DELIMITER
+    if delimiter != opt["morph_delimiter"]:
+        _warn(f"--morph-delimiter is ignored with guidance {guidance!r}")
+
+    lexicon = _load_checked_lexicon(args.lexicon, delimiter) if "lexicon" in reads else None
+    mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping and "pos_mapping" in reads else None
+    suffixes = load_suffixes(args.suffixes) if "suffixes" in reads else None
 
     corpus_path, n_input_sentences, training = _presegmented_input(
         args, mode, lexicon, mapping, delimiter, opt["lowercase"], opt["sample_fraction"], opt["seed"]
@@ -193,7 +195,7 @@ def cmd_train(args) -> int:
     options = {name: opt[name] for name, _, _ in artifacts.config_fields(config_class)}
     # only presegmented training data carries delimiters
     options["morph_delimiter"] = delimiter if mode else None
-    seed_suffixes = tuple(suffixes) if suffixes and "suffixes" in reads else None
+    seed_suffixes = tuple(suffixes) if suffixes else None
     cfg = config_class(**options, seed_suffixes=seed_suffixes)
     if args.algorithm == "wordpiece":
         vocab = wordpiece.wp_train(training, cfg)
@@ -220,10 +222,10 @@ def cmd_train(args) -> int:
     ]
     for key in sorted(TRAIN_OPTIONS):
         lines.append(f"option_{key} {opt[key]}")
-    if args.lexicon:
+    if lexicon is not None:
         lines.append(f"lexicon {args.lexicon}")
         lines.append(f"lexicon_sha256 {_sha256(args.lexicon)}")
-    if args.suffixes:
+    if suffixes is not None:
         lines.append(f"suffixes {args.suffixes}")
         lines.append(f"suffixes_sha256 {_sha256(args.suffixes)}")
     if mode:
@@ -239,8 +241,9 @@ def cmd_presegment(args) -> int:
     delimiter = args.morph_delimiter or DEFAULT_DELIMITER
     delimiter = _parse_option("morph_delimiter", delimiter, "--morph-delimiter")
     lexicon = _load_checked_lexicon(args.lexicon, delimiter)
-    mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping else None
-    _warn_unread(args, MODE_INPUTS[args.mode], f"mode {args.mode!r}")
+    reads = MODE_INPUTS[args.mode]
+    mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping and "pos_mapping" in reads else None
+    _warn_unread(args, reads, f"mode {args.mode!r}")
     _, _, result = _presegmented_input(args, args.mode, lexicon, mapping, delimiter, args.lowercase)
 
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="\n")

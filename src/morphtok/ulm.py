@@ -17,10 +17,11 @@ One lattice core serves decoding, EM and both pruning utilities:
 prefix trie (`corpus.prefix_trie`), `_viterbi` scores its best path and
 `_forward`/`_backward` its marginals.
 
-A path scores the correctly rounded sum of its edge weights. Viterbi
-keeps that sum exactly, as an integer over one power-of-two scale, with
-a back-pointer per position, so decoding is linear in the unit length
-except where two paths tie exactly on score and piece count.
+Paths rank by the exact sum of their edge weights, then by fewer pieces,
+then by the smaller piece sequence; a -inf entry makes the sum -inf.
+Viterbi keeps that sum as an integer over one power-of-two scale, with a
+back-pointer per position, so decoding is linear in the unit length
+except where two paths tie exactly on sum and piece count.
 
 With a morph delimiter configured, words split into morpheme segments
 and each segment gets its own lattice, so no piece ever spans a
@@ -144,40 +145,34 @@ def _exact_weights(log_probs, protected=frozenset(), boost=0.0) -> tuple[dict[st
 def _viterbi(lattice, weights, scale):
     """Best (score, piece_count, pieces) over the lattice, or None.
 
-    A path scores the correctly-rounded sum of its edge weights, so two
-    orderings of one piece multiset score identically and fall through to
-    the piece-count and lexicographic tie-breaks. Each node keeps the
-    exact sum of its best path as an integer over `scale` (see
-    `_exact_weights`; None once an edge is -inf), and int true division
-    rounds it correctly, as math.fsum of the weights would. Each node also
-    keeps a back-pointer, so an edge costs O(1) outside exact ties of
-    score and count. There the two paths into a node share every piece up
+    Paths rank by the exact sum of their edge weights, then by fewer
+    pieces, then by the smaller piece sequence. Each node keeps its best
+    path's sum as an integer over `scale` (see `_exact_weights`), NEG_INF
+    past a -inf edge; unlike a rounded sum, it keeps its order when two
+    paths gain one edge, so one path per node finds the best on finite
+    weights. The score is the sum correctly rounded, as math.fsum gives.
+    With a back-pointer per node an edge costs O(1) outside exact ties of
+    sum and count. There the two paths into a node share every piece up
     to their last common node, and the first pieces after it decide.
     """
     n = len(lattice)
-    score: list[float | None] = [None] * (n + 1)
     count = [0] * (n + 1)
-    total: list[int | None] = [None] * (n + 1)
+    total: list[int | float | None] = [None] * (n + 1)
     back = [0] * (n + 1)
     last: list[str] = [""] * (n + 1)
-    score[0] = 0.0
     total[0] = 0
     for i in range(n):
-        s_i = score[i]
-        if s_i is None:
-            continue
         t_i = total[i]
+        if t_i is None:
+            continue
+        dead = t_i == NEG_INF
         c = count[i] + 1
         for j, piece in lattice[i]:
             w = weights[piece]
-            if t_i is None or w is None:
-                t, s = None, NEG_INF
-            else:
-                t = t_i + w
-                s = t / scale
-            cur = score[j]
-            if cur is not None and s <= cur:
-                if s < cur or c > count[j]:
+            t = NEG_INF if dead or w is None else t_i + w
+            cur = total[j]
+            if cur is not None and t <= cur:
+                if t < cur or c > count[j]:
                     continue
                 if c == count[j]:  # exact tie: the smaller piece sequence wins
                     u, pu, v, pv = i, piece, back[j], last[j]
@@ -188,8 +183,9 @@ def _viterbi(lattice, weights, scale):
                             v, pv = back[v], last[v]
                     if pu >= pv:
                         continue
-            score[j], count[j], total[j], back[j], last[j] = s, c, t, i, piece
-    if score[n] is None:
+            count[j], total[j], back[j], last[j] = c, t, i, piece
+    t = total[n]
+    if t is None:
         return None
     pieces = []
     j = n
@@ -197,7 +193,7 @@ def _viterbi(lattice, weights, scale):
         pieces.append(last[j])
         j = back[j]
     pieces.reverse()
-    return score[n], count[n], pieces
+    return NEG_INF if t == NEG_INF else t / scale, count[n], pieces
 
 
 def ulm_encode(word: str, vocab: UlmVocabulary, morph_delimiter: str | None = None) -> list[str]:

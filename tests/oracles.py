@@ -193,16 +193,24 @@ def enumerate_segmentations(text, vocab):
     return results
 
 
+def _exact_sum(weights):
+    """Exact sum of float weights as a Fraction, or -inf when one is -inf."""
+    if -math.inf in weights:
+        return -math.inf
+    return sum(map(Fraction, weights), Fraction(0))
+
+
 def _path_score(seq, log_probs, protected, boost):
-    """Correctly-rounded sum of edge weights, so reorderings of one piece
-    multiset score identically and ties resolve by count and order."""
+    """Exact sum of edge weights, so a path's rank hangs on no rounding:
+    reorderings of one piece multiset score identically, and ties resolve
+    by count and order."""
     weights = []
     for piece in seq:
         w = log_probs[piece]
         if boost and piece in protected:
             w = w + boost
         weights.append(w)
-    return math.fsum(weights)
+    return _exact_sum(weights)
 
 
 def _prefer(a, b):
@@ -230,28 +238,20 @@ def viterbi_oracle(word, log_probs, protected=frozenset(), boost=0.0, delimiter=
     return out
 
 
-def _better(cand, cur) -> bool:
-    """Path preference: higher score, then fewer pieces, then smaller sequence."""
-    if cand[0] != cur[0]:
-        return cand[0] > cur[0]
-    if cand[1] != cur[1]:
-        return cand[1] < cur[1]
-    return cand[2] < cur[2]
-
-
 def viterbi_lattice_oracle(lattice, log_probs, protected=frozenset(), boost=0.0):
     """Best (score, piece_count, pieces, weights) over the lattice, or None.
 
-    A path scores the correctly-rounded sum (math.fsum) of its edge
-    weights, so two orderings of one piece multiset score identically
-    and fall through to the piece-count and lexicographic tie-breaks.
-    Left-to-right accumulation would instead let intermediate rounding
-    pick between such paths by accident.
+    Each node keeps its best whole path. Paths rank by the exact sum of
+    their edge weights, then by fewer pieces, then by the smaller
+    sequence; the score is math.fsum of the weights, that sum correctly
+    rounded.
     """
     n = len(lattice)
     best: list[tuple[float, int, tuple[str, ...], tuple[float, ...]] | None]
     best = [None] * (n + 1)
     best[0] = (0.0, 0, (), ())
+    exact = [None] * (n + 1)  # each node's best path's exact sum
+    exact[0] = Fraction(0)
     for i in range(n):
         b = best[i]
         if b is None:
@@ -263,9 +263,11 @@ def viterbi_lattice_oracle(lattice, log_probs, protected=frozenset(), boost=0.0)
                 w += boost
             weights = weights_i + (w,)
             cand = (math.fsum(weights), count_i + 1, seq_i + (piece,), weights)
+            sum_j = _exact_sum([exact[i], w])
             cur = best[j]
-            if cur is None or _better(cand, cur):
+            if cur is None or _prefer((sum_j, *cand[1:3]), (exact[j], *cur[1:3])):
                 best[j] = cand
+                exact[j] = sum_j
     return best[n]
 
 

@@ -147,21 +147,31 @@ class TestTrain:
         assert with_suffixes.read_bytes() == without.read_bytes()
         assert artifacts.load_tokenizer(with_suffixes).guidance == "baseline"
 
-    @pytest.mark.parametrize("flag", ["--tagged-corpus", "--pos-mapping", "--lexicon", "--corpus"])
+    @pytest.mark.parametrize("flag", ["--tagged-corpus", "--pos-mapping", "--lexicon", "--corpus", "malformed"])
     def test_unread_input_warns_and_is_ignored(self, tmp_path, capsys, flag):
-        # an input the guidance mode does not read leaves the artifact as it is without it
+        # an input the guidance mode does not read leaves the artifact as it is
+        # without it; "malformed" gives baseline training unreadable files it must not open
         mapping = tmp_path / "pos-mapping.tsv"
         mapping.write_text("".join(f"{ud}\t{','.join(tags)}\n" for ud, tags in DEFAULT_POS_MAPPING.items()),
                            encoding="utf-8")
         inputs = {"--corpus": MINI / "corpus.txt", "--tagged-corpus": MINI / "tagged.tsv",
                   "--lexicon": MINI / "lexicon.tsv", "--pos-mapping": mapping}
+        if flag == "malformed":
+            bad = tmp_path / "bad.tsv"
+            bad.write_bytes(b"no\ttabs\xff here\n")
+            unread = {"--lexicon": bad, "--pos-mapping": bad, "--suffixes": tmp_path / "nonexistent"}
+        else:
+            unread = {flag: inputs[flag]}
         reads = ["--tagged-corpus", "--lexicon"] if flag == "--corpus" else ["--corpus"]
         guidance = "morphpretok-contextual" if flag == "--corpus" else "baseline"
         args = ["train", "--algorithm", "wordpiece", "--guidance", guidance, "--vocab-size", "300"]
         args += [arg for name in reads for arg in (name, str(inputs[name]))]
         with_flag, without = tmp_path / "with.tok", tmp_path / "without.tok"
-        assert cli.main(args + ["--output", str(with_flag), flag, str(inputs[flag])]) == 0
-        assert f"warning: {flag} is ignored with guidance '{guidance}'" in capsys.readouterr().err
+        unread_args = [arg for name, path in unread.items() for arg in (name, str(path))]
+        assert cli.main(args + ["--output", str(with_flag)] + unread_args) == 0
+        err = capsys.readouterr().err
+        for name in unread:
+            assert f"warning: {name} is ignored with guidance '{guidance}'" in err
         assert cli.main(args + ["--output", str(without)]) == 0
         assert "is ignored" not in capsys.readouterr().err
         assert with_flag.read_bytes() == without.read_bytes()
@@ -181,7 +191,9 @@ class TestTrain:
         bad = files["dir"] / "bad.tsv"
         bad.write_bytes("# café\n".encode("utf-8") + b"VERB\tVerb\xff\n")
         out = files["dir"] / "wp.tok"
-        assert cli.main(train_args(files, str(out)) + [flag, str(bad)]) == 2
+        # contextual presegmentation, which reads the POS mapping
+        args = train_args(files, str(out), "wordpiece", "morphpretok-contextual", "--tagged-corpus", files["tagged"])
+        assert cli.main(args + [flag, str(bad)]) == 2
         assert f"error: {bad}:2: invalid UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
@@ -237,6 +249,18 @@ class TestTrain:
             "error: --morph-delimiter: bad value for 'morph_delimiter': morph delimiter must be "
             "one character other than '\\' and whitespace, got '@@'\n"
         )
+
+    @pytest.mark.parametrize("guidance", ["baseline", "morphseed"])
+    def test_delimiter_without_presegmentation_warns_and_is_ignored(self, files, capsys, guidance):
+        # the artifact records no delimiter, so `encode` escapes "@" in "ab@cd"
+        # as training must have, whatever --morph-delimiter said
+        Path(files["corpus"]).write_text(CORPUS + "ab@cd ab@cd ab@cd\n", encoding="utf-8")
+        with_flag, without = files["dir"] / "with.tok", files["dir"] / "without.tok"
+        assert cli.main(train_args(files, str(with_flag), "wordpiece", guidance, "--morph-delimiter", "#")) == 0
+        assert f"warning: --morph-delimiter is ignored with guidance '{guidance}'" in capsys.readouterr().err
+        assert cli.main(train_args(files, str(without), "wordpiece", guidance)) == 0
+        assert "is ignored" not in capsys.readouterr().err
+        assert with_flag.read_bytes() == without.read_bytes()
 
     @pytest.mark.parametrize("delimiter", ["\\", " ", "\t"])
     def test_escape_or_space_delimiter_rejected(self, files, capsys, delimiter):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphtok.corpus import Corpus, load_corpus, prefix_trie
@@ -146,8 +146,17 @@ def ulm_instance(draw, max_word=10):
     return dict(zip(pieces, logs)), protected, boost, word
 
 
+# at position 2, (a, b) sums exactly above (ab,), yet (a, b, b, a, babb) and
+# (ab, b, a, babb) both round to -1.3, where fewer pieces used to win
+ULP_PREFIX = ({"a": -1.0, "b": -0.1, "ab": -1.1, "babb": -0.1}, frozenset({"a", "ab"}), 0.5, "abbababb")
+# (b, a) sums exactly above -3.0, which it rounds to, tying (ba,) in score
+ROUNDS_TO_TIE = ({"a": -2.3, "b": -0.7, "ba": -3.0}, frozenset(), 0.0, "ba")
+
+
 class TestViterbiOracle:
     @given(ulm_instance())
+    @example(ULP_PREFIX)
+    @example(ROUNDS_TO_TIE)
     @settings(max_examples=300)
     def test_matches_enumeration(self, case):
         log_probs, protected, boost, word = case
@@ -157,9 +166,11 @@ class TestViterbiOracle:
         assert got == (expected if expected is not None else [UNK])
 
     @given(ulm_instance(max_word=300))
+    @example(ULP_PREFIX)
+    @example(ROUNDS_TO_TIE)
     @settings(max_examples=200, deadline=None)
     def test_matches_tuple_fsum_decoder(self, case):
-        # the decoder that kept each node's whole path and fsum-med it per edge
+        # the decoder that keeps each node's whole path and fsums it per edge
         log_probs, protected, boost, word = case
         lattice = _lattice(word, prefix_trie(log_probs))
         expected = viterbi_lattice_oracle(lattice, log_probs, protected, boost)
