@@ -12,10 +12,10 @@ are protected from pruning and can carry a decode-time log-prob boost;
 single characters are never pruned so every training word stays
 segmentable.
 
-One lattice core serves decoding, EM and both pruning utilities:
-`_lattice` builds a unit's segmentation lattice from the vocabulary's
-prefix trie (`corpus.prefix_trie`), `_viterbi` scores its best path and
-`_forward`/`_backward` its marginals.
+`_viterbi` walks the vocabulary's prefix trie (`corpus.prefix_trie`)
+and scores each piece as it finds it, for decoding and approximate
+pruning. EM and exact pruning read each edge more than once: `_lattice`
+keeps a unit's edges for them and `_forward`/`_backward` its marginals.
 
 Paths rank by the exact sum of their edge weights, then by fewer pieces,
 then by the smaller piece sequence; a -inf entry makes the sum -inf.
@@ -72,6 +72,7 @@ class UlmVocabulary:
     boost: float = 0.0
     _trie: dict | None = field(default=None, init=False, repr=False, compare=False)
     _weights: tuple[dict, int] | None = field(default=None, init=False, repr=False, compare=False)
+    _depth: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __contains__(self, piece: str) -> bool:
         return piece in self.log_probs
@@ -84,6 +85,12 @@ class UlmVocabulary:
         if self._trie is None:
             self._trie = prefix_trie(self.log_probs)
         return self._trie
+
+    def depth(self) -> int:
+        """Length of the longest entry, which bounds every walk of `trie()`."""
+        if self._depth is None:
+            self._depth = max(map(len, self.log_probs), default=0)
+        return self._depth
 
     def weights(self) -> tuple[dict[str, int | None], int]:
         """Exact decode-time edge weights and their scale (see `_exact_weights`)."""
@@ -142,8 +149,10 @@ def _exact_weights(log_probs, protected=frozenset(), boost=0.0) -> tuple[dict[st
     return {p: None if r is None else r[0] * (scale // r[1]) for p, r in ratios.items()}, scale
 
 
-def _viterbi(lattice, weights, scale):
-    """Best (score, piece_count, pieces) over the lattice, or None.
+def _viterbi(unit, trie, depth, weights, scale):
+    """Best (score, piece_count, pieces) over the unit's segmentations, or
+    None. From each reachable position it walks `trie` at most `depth`
+    characters deep, the longest entry, and relaxes each edge it finds.
 
     Paths rank by the exact sum of their edge weights, then by fewer
     pieces, then by the smaller piece sequence. Each node keeps its best
@@ -155,7 +164,7 @@ def _viterbi(lattice, weights, scale):
     sum and count. There the two paths into a node share every piece up
     to their last common node, and the first pieces after it decide.
     """
-    n = len(lattice)
+    n = len(unit)
     count = [0] * (n + 1)
     total: list[int | float | None] = [None] * (n + 1)
     back = [0] * (n + 1)
@@ -167,7 +176,15 @@ def _viterbi(lattice, weights, scale):
             continue
         dead = t_i == NEG_INF
         c = count[i] + 1
-        for j, piece in lattice[i]:
+        node, j = trie, i
+        for ch in unit[i:i + depth]:
+            node = node.get(ch)
+            if node is None:
+                break
+            j += 1
+            piece = node.get("")
+            if piece is None:
+                continue
             w = weights[piece]
             t = NEG_INF if dead or w is None else t_i + w
             cur = total[j]
@@ -199,12 +216,12 @@ def _viterbi(lattice, weights, scale):
 def ulm_encode(word: str, vocab: UlmVocabulary, morph_delimiter: str | None = None) -> list[str]:
     """Viterbi-decode a word; any unreachable position maps the whole word
     to the unknown token. Protected entries receive the vocabulary's
-    boost on their lattice edges."""
-    trie = vocab.trie()
+    boost on their edges."""
+    trie, depth = vocab.trie(), vocab.depth()
     weights, scale = vocab.weights()
     pieces: list[str] = []
     for seg in morph_segments(word, morph_delimiter, "encode"):
-        res = _viterbi(_lattice(seg, trie), weights, scale)
+        res = _viterbi(seg, trie, depth, weights, scale)
         if res is None:
             return [UNK_TOKEN]
         pieces.extend(res[2])
@@ -336,16 +353,17 @@ def _seed_log_probs(unit_counts, cfg: UlmTrainerConfig, exempt) -> dict[str, flo
     return {p: math.log(w) - log_total for p, w in weights.items()}
 
 
-def _approximate_utilities(prunable, unit_counts, lattices, trie, log_probs):
+def _approximate_utilities(prunable, unit_counts, trie, log_probs):
     """Likelihood loss if an entry is removed, under current Viterbi segmentations.
 
     usage(p) * (logprob(p) - best alternative for p's string); unused
     entries cost nothing to remove. `trie` holds the entries of `log_probs`.
     """
     weights, scale = _exact_weights(log_probs)
+    depth = max(map(len, log_probs))
     usage: Counter = Counter()
     for unit, freq in unit_counts.items():
-        res = _viterbi(lattices[unit], weights, scale)
+        res = _viterbi(unit, trie, depth, weights, scale)
         if res is None:
             continue
         for piece in res[2]:
@@ -356,9 +374,12 @@ def _approximate_utilities(prunable, unit_counts, lattices, trie, log_probs):
         if f == 0:
             utilities[p] = 0.0
             continue
-        lattice = _lattice(p, trie)
-        lattice[0].pop()  # p's own edge, the longest from position 0
-        alt = _viterbi(lattice, weights, scale)
+        node = trie
+        for ch in p:
+            node = node[ch]
+        del node[""]  # p's own edge, out of the trie while p is decoded
+        alt = _viterbi(p, trie, depth, weights, scale)
+        node[""] = p
         utilities[p] = math.inf if alt is None else f * (log_probs[p] - alt[0])
     return utilities
 
@@ -398,7 +419,7 @@ def _prune(log_probs, unit_counts, lattices, trie, cfg: UlmTrainerConfig, exempt
     if cfg.exact_pruning:
         utilities = _exact_utilities(prunable, unit_counts, lattices, log_probs)
     else:
-        utilities = _approximate_utilities(prunable, unit_counts, lattices, trie, log_probs)
+        utilities = _approximate_utilities(prunable, unit_counts, trie, log_probs)
     drop = set(sorted(prunable, key=lambda p: (utilities[p], p))[:k])
     return {p: lp for p, lp in log_probs.items() if p not in drop}
 

@@ -11,6 +11,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 
 CONTINUATION = "##"
+NEG_INF = float("-inf")
 
 
 def split_on_delimiter_oracle(text, delimiter="@"):
@@ -269,6 +270,85 @@ def viterbi_lattice_oracle(lattice, log_probs, protected=frozenset(), boost=0.0)
                 best[j] = cand
                 exact[j] = sum_j
     return best[n]
+
+
+def viterbi_exact_lattice_oracle(lattice, weights, scale):
+    """Best (score, piece_count, pieces) over the lattice, or None: the
+    decoder that read a whole lattice, row by row, before the trie walk.
+
+    Paths rank by the exact sum of their edge weights, then by fewer
+    pieces, then by the smaller piece sequence. Each node keeps its best
+    path's sum as an integer over `scale` (see `_exact_weights`), NEG_INF
+    past a -inf edge; unlike a rounded sum, it keeps its order when two
+    paths gain one edge, so one path per node finds the best on finite
+    weights. The score is the sum correctly rounded, as math.fsum gives.
+    With a back-pointer per node an edge costs O(1) outside exact ties of
+    sum and count. There the two paths into a node share every piece up
+    to their last common node, and the first pieces after it decide.
+    """
+    n = len(lattice)
+    count = [0] * (n + 1)
+    total: list[int | float | None] = [None] * (n + 1)
+    back = [0] * (n + 1)
+    last: list[str] = [""] * (n + 1)
+    total[0] = 0
+    for i in range(n):
+        t_i = total[i]
+        if t_i is None:
+            continue
+        dead = t_i == NEG_INF
+        c = count[i] + 1
+        for j, piece in lattice[i]:
+            w = weights[piece]
+            t = NEG_INF if dead or w is None else t_i + w
+            cur = total[j]
+            if cur is not None and t <= cur:
+                if t < cur or c > count[j]:
+                    continue
+                if c == count[j]:  # exact tie: the smaller piece sequence wins
+                    u, pu, v, pv = i, piece, back[j], last[j]
+                    while u != v:
+                        if u > v:
+                            u, pu = back[u], last[u]
+                        else:
+                            v, pv = back[v], last[v]
+                    if pu >= pv:
+                        continue
+            count[j], total[j], back[j], last[j] = c, t, i, piece
+    t = total[n]
+    if t is None:
+        return None
+    pieces = []
+    j = n
+    while j:
+        pieces.append(last[j])
+        j = back[j]
+    pieces.reverse()
+    return NEG_INF if t == NEG_INF else t / scale, count[n], pieces
+
+
+def approximate_utilities_oracle(prunable, unit_counts, lattice, weights, scale, log_probs):
+    """Pruning utilities as the lattice decoder gave them. `lattice(text)`
+    builds a lattice; an entry's alternative decodes the lattice of its own
+    string without its own edge, the longest from position 0."""
+    usage = Counter()
+    for unit, freq in unit_counts.items():
+        res = viterbi_exact_lattice_oracle(lattice(unit), weights, scale)
+        if res is None:
+            continue
+        for piece in res[2]:
+            usage[piece] += freq
+    utilities = {}
+    for p in prunable:
+        f = usage.get(p, 0)
+        if f == 0:
+            utilities[p] = 0.0
+            continue
+        without = lattice(p)
+        without[0].pop()
+        alt = viterbi_exact_lattice_oracle(without, weights, scale)
+        utilities[p] = math.inf if alt is None else f * (log_probs[p] - alt[0])
+    return utilities
 
 
 def strip_markers(pieces):

@@ -11,13 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphtok.corpus import Corpus, load_corpus, prefix_trie
+from morphtok import ulm
+from morphtok.corpus import Corpus, load_corpus, load_suffixes, prefix_trie
 from morphtok.ulm import (
     UlmTrainerConfig,
     UlmVocabulary,
+    _approximate_utilities,
     _exact_weights,
     _lattice,
     _logsumexp,
+    _seed_log_probs,
     _viterbi,
     corpus_log_likelihood,
     em_step,
@@ -26,10 +29,24 @@ from morphtok.ulm import (
     ulm_train,
 )
 
-from oracles import em_step_oracle, lattice_oracle, viterbi_lattice_oracle, viterbi_oracle
+from oracles import (
+    approximate_utilities_oracle,
+    em_step_oracle,
+    lattice_oracle,
+    viterbi_exact_lattice_oracle,
+    viterbi_lattice_oracle,
+    viterbi_oracle,
+)
+from trie_steps import counting, trie_depth
 
 UNK = "[UNK]"
 MINI = Path(__file__).resolve().parent.parent / "data" / "mini-latin"
+
+
+def decode(word, log_probs, protected=frozenset(), boost=0.0):
+    """`_viterbi` over a fresh trie of `log_probs`, as `ulm_encode` calls it."""
+    vocab = UlmVocabulary(log_probs, protected, boost)
+    return _viterbi(word, vocab.trie(), vocab.depth(), *vocab.weights())
 
 
 def vocab_from(probs, protected=(), boost=0.0):
@@ -151,6 +168,9 @@ def ulm_instance(draw, max_word=10):
 ULP_PREFIX = ({"a": -1.0, "b": -0.1, "ab": -1.1, "babb": -0.1}, frozenset({"a", "ab"}), 0.5, "abbababb")
 # (b, a) sums exactly above -3.0, which it rounds to, tying (ba,) in score
 ROUNDS_TO_TIE = ({"a": -2.3, "b": -0.7, "ba": -3.0}, frozenset(), 0.0, "ba")
+# only -inf entries cover the word: every path sums to -inf
+DEAD_ONLY = ({"a": -math.inf, "abba": -math.inf, "bb": -math.inf, "b": -1.0, "ab": -0.5},
+             frozenset({"bb"}), 0.5, "babbbaaba")
 
 
 class TestViterbiOracle:
@@ -174,41 +194,79 @@ class TestViterbiOracle:
         log_probs, protected, boost, word = case
         lattice = _lattice(word, prefix_trie(log_probs))
         expected = viterbi_lattice_oracle(lattice, log_probs, protected, boost)
-        got = _viterbi(lattice, *_exact_weights(log_probs, protected, boost))
+        got = decode(word, log_probs, protected, boost)
         if expected is None:
             assert got is None
         else:
             score, count, pieces = got
             assert (score, count, tuple(pieces)) == expected[:3]
 
+    @given(ulm_instance(max_word=300))
+    @example(ULP_PREFIX)
+    @example(ROUNDS_TO_TIE)
+    @example(DEAD_ONLY)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_lattice_decoder(self, case):
+        # the decoder that read a lattice built before it, row by row
+        log_probs, protected, boost, word = case
+        lattice = _lattice(word, prefix_trie(log_probs))
+        expected = viterbi_exact_lattice_oracle(lattice, *_exact_weights(log_probs, protected, boost))
+        assert decode(word, log_probs, protected, boost) == expected
+
     def test_exact_sum_is_fsum(self):
         # left to right, -0.1 + -0.7 + -1.1 rounds twice; the exact sum once
         log_probs = {"a": -0.1, "b": -0.7, "c": -1.1}
-        lattice = _lattice("abc", prefix_trie(log_probs))
-        score, count, pieces = _viterbi(lattice, *_exact_weights(log_probs))
+        score, count, pieces = decode("abc", log_probs)
         assert score == math.fsum([-0.1, -0.7, -1.1]) != (-0.1 + -0.7) + -1.1
         assert (count, pieces) == (3, ["a", "b", "c"])
 
 
+MINI_ULM = UlmTrainerConfig(vocab_size=1200, seed_size=8000, max_piece_length=10)
+
+
+@pytest.fixture(scope="module")
+def mini_vocab():
+    """The mini-latin baseline ULM vocabulary at 1200 entries."""
+    return ulm_train(load_corpus(MINI / "corpus.txt"), MINI_ULM)
+
+
+def live_word(vocab, n, rng):
+    """A word of n characters cut from random live pieces of `vocab`."""
+    live = sorted(p for p, lp in vocab.log_probs.items() if lp != float("-inf"))
+    word = ""
+    while len(word) < n:
+        word += rng.choice(live)
+    return word[:n]
+
+
 class TestDecodeWork:
-    def test_memory_per_character_stays_flat(self):
+    @pytest.mark.parametrize("n", [1000, 2000, 4000])
+    def test_trie_lookups_bounded_by_longest_entry(self, mini_vocab, monkeypatch, n):
+        # from each position the walk reads at most `depth` characters, plus
+        # the lookup that ends it, so a long word costs work linear in its length
+        steps = [0]
+        monkeypatch.setattr(ulm, "prefix_trie", lambda *args: counting(prefix_trie(*args), steps))
+        vocab = UlmVocabulary(mini_vocab.log_probs, mini_vocab.protected, mini_vocab.boost)
+        depth = vocab.depth()
+        assert trie_depth(vocab.trie()) == depth == 10
+        word = live_word(vocab, n, random.Random(n))
+        pieces = ulm_encode(word, vocab)
+        assert "".join(pieces) == word
+        assert 0 < steps[0] <= n * (depth + 1)
+
+    def test_memory_per_character_stays_flat(self, mini_vocab):
         # words of 1k, 2k and 4k characters from live pieces of the mini-latin
         # baseline vocabulary; a decoder that copies each node's path per edge
         # allocates in proportion to the path, so its bytes per character grow
-        vocab = ulm_train(load_corpus(MINI / "corpus.txt"),
-                          UlmTrainerConfig(vocab_size=1200, seed_size=8000, max_piece_length=10))
-        live = sorted(p for p, lp in vocab.log_probs.items() if lp != float("-inf"))
+        vocab = mini_vocab
         rng = random.Random(0)
         ulm_encode("a", vocab)  # build the trie and weights outside the measurement
         per_char = {}
         for n in (1000, 2000, 4000):
-            word = ""
-            while len(word) < n:
-                word += rng.choice(live)
-            word = word[:n]
+            word = live_word(vocab, n, rng)
             # CPython reuses up to 2,000 freed 2-tuples without an allocation
             # tracemalloc sees; holding more empties that free list, so the
-            # lattice edges of the 1k word are counted like the others'
+            # 2-tuples a decode allocates for the 1k word are counted like the others'
             held = [(k, k) for k in range(5000)]
             tracemalloc.start()
             try:
@@ -328,6 +386,56 @@ class TestEmStep:
             if prev is not None:
                 assert ll >= prev - 1e-9
             prev = ll
+
+
+class FirstPrune(Exception):
+    """Raised in place of the first pruning round, carrying its arguments."""
+
+
+class TestPruning:
+    @pytest.mark.parametrize("seeded", [False, True], ids=["baseline", "morphseed"])
+    def test_approximate_utilities_match_lattice_decoder(self, monkeypatch, seeded):
+        # the first pruning round of mini-latin at vocab 1200; morphseed
+        # protects the seeded suffixes, which also carry the decode boost
+        def stop(*args):
+            raise FirstPrune(*args)
+
+        suffixes = tuple(load_suffixes(MINI / "suffixes.txt")) if seeded else None
+        cfg = UlmTrainerConfig(vocab_size=1200, seed_size=8000, max_piece_length=10, seed_suffixes=suffixes)
+        monkeypatch.setattr(ulm, "_prune", stop)
+        with pytest.raises(FirstPrune) as stopped:
+            ulm_train(load_corpus(MINI / "corpus.txt"), cfg)
+        log_probs, unit_counts, _, trie, _, exempt = stopped.value.args
+        prunable = [p for p in log_probs if p not in exempt]
+        assert any(s in exempt for s in suffixes or ()) == seeded
+
+        expected = approximate_utilities_oracle(prunable, unit_counts, lambda text: _lattice(text, trie),
+                                                *_exact_weights(log_probs), log_probs)
+        got = _approximate_utilities(prunable, unit_counts, trie, log_probs)
+        assert got == expected
+        assert sum(u != 0 for u in got.values()) > 300  # entries in use, whose alternatives were decoded
+        assert trie == prefix_trie(log_probs)  # every entry is back in the trie
+
+
+class TestSeedWork:
+    def test_memory_per_character_stays_flat(self):
+        # one training word of 1k, 2k and 4k characters; seeding counts every
+        # substring up to max_piece_length, at most 16 per character, and the
+        # default seed_size keeps them all
+        cfg = UlmTrainerConfig()
+        rng = random.Random(0)
+        per_char = {}
+        for n in (1000, 2000, 4000):
+            word = "".join(rng.choices("abcdefghilmnoprstuv", k=n))
+            tracemalloc.start()
+            try:
+                log_probs = _seed_log_probs({word: 1}, cfg, set(word))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert n < len(log_probs) <= n * cfg.max_piece_length
+            per_char[n] = peak / n
+        assert per_char[4000] <= 1.5 * per_char[1000], per_char
 
 
 class TestTraining:

@@ -13,6 +13,7 @@ from morphtok.corpus import Corpus, prefix_trie
 from morphtok.wordpiece import WpTrainerConfig, WpVocabulary, wp_encode, wp_train
 
 from oracles import strip_markers, wp_encode_oracle, wp_train_oracle
+from trie_steps import counting, trie_depth
 
 MINI = Path(__file__).resolve().parent.parent / "data" / "mini-latin"
 
@@ -282,26 +283,6 @@ class TestTrieWalk:
             word = word + "@" + word
         delimiter = "@" if delimited else None
         assert wp_encode(word, vocab, delimiter) == wp_encode_oracle(word, entries, delimiter=delimiter)
-
-
-class StepCountingDict(dict):
-    """A trie node that counts child lookups in `steps`, a one-item list
-    shared by every node of its trie."""
-
-    def get(self, key, default=None):
-        if key:
-            self.steps[0] += 1
-        return super().get(key, default)
-
-
-def counting(node, steps):
-    out = StepCountingDict({k: v if k == "" else counting(v, steps) for k, v in node.items()})
-    out.steps = steps
-    return out
-
-
-def trie_depth(node):
-    return max((1 + trie_depth(child) for key, child in node.items() if key), default=0)
 
 
 class TestLongWords:
