@@ -240,20 +240,34 @@ def live_word(vocab, n, rng):
     return word[:n]
 
 
+class ReadCountingStr(str):
+    """A word that counts the characters its indexes and slices hand out."""
+
+    read = 0
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        self.read += len(out)
+        return out
+
+
 class TestDecodeWork:
     @pytest.mark.parametrize("n", [1000, 2000, 4000])
     def test_trie_lookups_bounded_by_longest_entry(self, mini_vocab, monkeypatch, n):
         # from each position the walk reads at most `depth` characters, plus
-        # the lookup that ends it, so a long word costs work linear in its length
+        # the lookup that ends it, so a long word costs work linear in its length;
+        # counting the characters read also catches a walk that copies the rest
+        # of the word from each position, though it stops after `depth` of them
         steps = [0]
         monkeypatch.setattr(ulm, "prefix_trie", lambda *args: counting(prefix_trie(*args), steps))
         vocab = UlmVocabulary(mini_vocab.log_probs, mini_vocab.protected, mini_vocab.boost)
         depth = vocab.depth()
         assert trie_depth(vocab.trie()) == depth == 10
-        word = live_word(vocab, n, random.Random(n))
+        word = ReadCountingStr(live_word(vocab, n, random.Random(n)))
         pieces = ulm_encode(word, vocab)
         assert "".join(pieces) == word
         assert 0 < steps[0] <= n * (depth + 1)
+        assert 0 < word.read <= n * depth
 
     def test_memory_per_character_stays_flat(self, mini_vocab):
         # words of 1k, 2k and 4k characters from live pieces of the mini-latin
