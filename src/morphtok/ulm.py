@@ -14,8 +14,11 @@ segmentable.
 
 `_viterbi` walks the vocabulary's prefix trie (`corpus.prefix_trie`)
 and scores each piece as it finds it, for decoding and approximate
-pruning. EM and exact pruning read each edge more than once: `_lattice`
-keeps a unit's edges for them and `_forward`/`_backward` its marginals.
+pruning. EM reads each edge more than once, through one index of the
+training units (`_unit_index`): a forward value depends only on a unit's
+prefix and a backward value only on its suffix, so each distinct prefix
+and suffix is scored once per step, and training keeps the index across
+pruning rounds. Exact pruning reads each unit's `_lattice`.
 
 Paths rank by the exact sum of their edge weights, then by fewer pieces,
 then by the smaller piece sequence; a -inf entry makes the sum -inf.
@@ -139,6 +142,42 @@ def _lattice(unit: str, trie: dict) -> list[list[tuple[int, str]]]:
     return out
 
 
+def _ids(chars, children, edges):
+    """Ids of the successive prefixes of `chars`, the empty one first, in the
+    tree `children` (id -> {character: child id}); a new id gets an edge list."""
+    ids = [0]
+    for ch in chars:
+        ids.append(children[ids[-1]].setdefault(ch, len(children)))
+        if ids[-1] == len(children):
+            children.append({})
+            edges.append([])
+    return ids
+
+
+def _unit_index(units, trie):
+    """The segmentation edges of `units` over the entries of `trie`, by prefix
+    and suffix: (into, out, positions). into[p] lists the in-edges (piece,
+    from-prefix id) of prefix p by start position, out[s] the out-edges
+    (piece, to-suffix id) of suffix s shortest first, and positions each
+    unit's prefix and suffix ids at 0..n. Id 0 is the empty prefix or
+    suffix; an edge's other end has the smaller id. Child dicts keyed by
+    character, not by substring, keep the build linear in the units' length."""
+    into, out, positions = [[]], [[]], []
+    prefix_children, suffix_children = [{}], [{}]
+    for unit in units:
+        old_prefixes, old_suffixes = len(into), len(out)  # ids from these on are the unit's own
+        pids = _ids(unit, prefix_children, into)
+        sids = _ids(reversed(unit), suffix_children, out)[::-1]
+        for i, row in enumerate(_lattice(unit, trie)):
+            for j, piece in row:
+                if sids[i] >= old_suffixes:
+                    out[sids[i]].append((piece, sids[j]))
+                if pids[j] >= old_prefixes:
+                    into[pids[j]].append((piece, pids[i]))
+        positions.append((pids, sids))
+    return into, out, positions
+
+
 def _exact_weights(log_probs, protected=frozenset(), boost=0.0) -> tuple[dict[str, int | None], int]:
     """Edge weights as exact integers over one power-of-two `scale`: piece ->
     weight * scale, or None for -inf. A protected piece's boost is added to
@@ -245,56 +284,51 @@ def _forward(lattice, log_probs):
     return alpha
 
 
-def _backward(lattice, log_probs):
-    n = len(lattice)
-    beta = [NEG_INF] * (n + 1)
-    beta[n] = 0.0
-    for i in range(n - 1, -1, -1):
-        vals = []
-        for j, piece in lattice[i]:
-            bj = beta[j]
-            if bj != NEG_INF:
-                vals.append(log_probs[piece] + bj)
-        beta[i] = _logsumexp(vals) if vals else NEG_INF
-    return beta
-
-
-def _expected_counts(unit_counts, log_probs, lattices=None):
+def _expected_counts(unit_counts, log_probs, index=None):
     """Forward-backward posterior piece counts, frequency-weighted, over
-    `lattices` (unit -> lattice), which are built here when not given.
+    `index` (see `_unit_index`), which is built here when not given.
+
+    Each prefix id gets one forward value and each suffix id one backward
+    value; every value and sum is the one, in the same order, that
+    forward-backward over each unit's own lattice gives.
 
     Returns (counts, corpus log-likelihood, unlatticizable units); the
     latter contribute nothing to counts and stand for UNK fallbacks.
     """
-    if lattices is None:
-        trie = prefix_trie(log_probs)
-        lattices = {unit: _lattice(unit, trie) for unit in unit_counts}
+    if index is None:
+        index = _unit_index(unit_counts, prefix_trie(log_probs))
+    into, out, positions = index
+    alpha = [0.0]
+    for edges in into[1:]:
+        vals = [alpha[f] + log_probs[p] for p, f in edges if alpha[f] != NEG_INF]
+        alpha.append(_logsumexp(vals) if vals else NEG_INF)
+    beta = [0.0]
+    for edges in out[1:]:
+        vals = [log_probs[p] + beta[t] for p, t in edges if beta[t] != NEG_INF]
+        beta.append(_logsumexp(vals) if vals else NEG_INF)
     counts = {p: 0.0 for p in log_probs}
     ll = 0.0
     unk: list[str] = []
-    for unit, freq in unit_counts.items():
-        lattice = lattices[unit]
-        alpha = _forward(lattice, log_probs)
-        log_z = alpha[-1]
+    for (unit, freq), (pids, sids) in zip(unit_counts.items(), positions):
+        log_z = alpha[pids[-1]]
         if log_z == NEG_INF:
             unk.append(unit)
             continue
-        beta = _backward(lattice, log_probs)
         ll += freq * log_z
-        for i, row in enumerate(lattice):
-            ai = alpha[i]
+        for pid, sid in zip(pids, sids):
+            ai = alpha[pid]
             if ai == NEG_INF:
                 continue
-            for j, piece in row:
-                bj = beta[j]
+            for piece, t in out[sid]:
+                bj = beta[t]
                 if bj == NEG_INF:
                     continue
                 counts[piece] += freq * math.exp(ai + log_probs[piece] + bj - log_z)
     return counts, ll, unk
 
 
-def _em_step_units(unit_counts, log_probs, lattices=None):
-    counts, ll, unk = _expected_counts(unit_counts, log_probs, lattices)
+def _em_step_units(unit_counts, log_probs, index=None):
+    counts, ll, unk = _expected_counts(unit_counts, log_probs, index)
     total = math.fsum(counts.values())
     if total <= 0:
         raise ValueError("EM step found no probability mass; vocabulary cannot cover the corpus")
@@ -384,8 +418,10 @@ def _approximate_utilities(prunable, unit_counts, trie, log_probs):
     return utilities
 
 
-def _exact_utilities(prunable, unit_counts, lattices, log_probs):
-    """Exact marginal-likelihood loss per entry (recomputes affected lattices)."""
+def _exact_utilities(prunable, unit_counts, trie, log_probs):
+    """Exact marginal-likelihood loss per entry (recomputes affected lattices).
+    `trie` holds the entries of `log_probs`."""
+    lattices = {unit: _lattice(unit, trie) for unit in unit_counts}
     log_z = {}
     touched: dict[str, set[str]] = {}
     for unit, lattice in lattices.items():
@@ -410,14 +446,14 @@ def _exact_utilities(prunable, unit_counts, lattices, log_probs):
     return utilities
 
 
-def _prune(log_probs, unit_counts, lattices, trie, cfg: UlmTrainerConfig, exempt):
+def _prune(log_probs, unit_counts, trie, cfg: UlmTrainerConfig, exempt):
     """Drop the least useful non-exempt entries; called only while `log_probs`
     holds more than cfg.vocab_size entries, all of `exempt` among them."""
     overshoot = len(log_probs) - cfg.vocab_size
     prunable = [p for p in log_probs if p not in exempt]
     k = max(1, min(int(len(prunable) * (1 - cfg.shrinking_factor)), overshoot))
     if cfg.exact_pruning:
-        utilities = _exact_utilities(prunable, unit_counts, lattices, log_probs)
+        utilities = _exact_utilities(prunable, unit_counts, trie, log_probs)
     else:
         utilities = _approximate_utilities(prunable, unit_counts, trie, log_probs)
     drop = set(sorted(prunable, key=lambda p: (utilities[p], p))[:k])
@@ -428,8 +464,8 @@ def ulm_train(corpus: Corpus, cfg: UlmTrainerConfig) -> UlmVocabulary:
     """Train a unigram LM vocabulary down to cfg.vocab_size entries."""
     if not 0 < cfg.shrinking_factor < 1:
         raise ValueError(f"shrinking_factor must be in (0, 1), got {cfg.shrinking_factor}")
-    if cfg.max_piece_length < 1 or cfg.seed_size < 1:
-        raise ValueError("max_piece_length and seed_size must be positive")
+    if cfg.max_piece_length < 1 or cfg.seed_size < 1 or cfg.em_iterations_per_round < 1:
+        raise ValueError("max_piece_length, seed_size and em_iterations_per_round must be positive")
     word_freqs = corpus.word_counts()
     if not word_freqs:
         raise ValueError("cannot train on an empty corpus")
@@ -444,14 +480,17 @@ def ulm_train(corpus: Corpus, cfg: UlmTrainerConfig) -> UlmVocabulary:
         )
 
     log_probs = _seed_log_probs(unit_counts, cfg, exempt)
-    while True:  # a round's trie and lattices serve its EM steps and its pruning
-        trie = prefix_trie(log_probs)  # EM keeps every key, so it fits all round
-        lattices = {unit: _lattice(unit, trie) for unit in unit_counts}
+    trie = prefix_trie(log_probs)
+    index = _unit_index(unit_counts, trie)
+    while True:  # EM keeps every key, so the round's trie and index fit all its steps
         for _ in range(cfg.em_iterations_per_round):
-            log_probs, _, _ = _em_step_units(unit_counts, log_probs, lattices)
+            log_probs, _, _ = _em_step_units(unit_counts, log_probs, index)
         if len(log_probs) <= cfg.vocab_size:
             break
-        log_probs = _prune(log_probs, unit_counts, lattices, trie, cfg, exempt)
+        log_probs = _prune(log_probs, unit_counts, trie, cfg, exempt)
+        trie = prefix_trie(log_probs)
+        for edges in index[0] + index[1]:  # the pruned entries' edges leave the index
+            edges[:] = [e for e in edges if e[0] in log_probs]
 
     boost = cfg.seed_weight if protected else 0.0
     return UlmVocabulary(log_probs, frozenset(protected), boost)

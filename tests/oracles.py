@@ -351,6 +351,80 @@ def approximate_utilities_oracle(prunable, unit_counts, lattice, weights, scale,
     return utilities
 
 
+def _logsumexp_left_to_right(values):
+    """log(sum(exp(values))), summed left to right: from Python 3.12 on,
+    builtin sum() compensates float rounding."""
+    m = max(values)
+    if m == NEG_INF:
+        return NEG_INF
+    total = 0.0
+    for v in values:
+        total += math.exp(v - m)
+    return m + math.log(total)
+
+
+def forward_oracle(lattice, log_probs):
+    """Forward log-marginals of one unit's lattice, position by position."""
+    n = len(lattice)
+    contrib = [[] for _ in range(n + 1)]
+    alpha = [NEG_INF] * (n + 1)
+    alpha[0] = 0.0
+    for i in range(n):
+        if i > 0:
+            alpha[i] = _logsumexp_left_to_right(contrib[i]) if contrib[i] else NEG_INF
+        ai = alpha[i]
+        if ai == NEG_INF:
+            continue
+        for j, piece in lattice[i]:
+            contrib[j].append(ai + log_probs[piece])
+    alpha[n] = _logsumexp_left_to_right(contrib[n]) if contrib[n] else NEG_INF
+    return alpha
+
+
+def backward_oracle(lattice, log_probs):
+    """Backward log-marginals of one unit's lattice, position by position."""
+    n = len(lattice)
+    beta = [NEG_INF] * (n + 1)
+    beta[n] = 0.0
+    for i in range(n - 1, -1, -1):
+        vals = []
+        for j, piece in lattice[i]:
+            bj = beta[j]
+            if bj != NEG_INF:
+                vals.append(log_probs[piece] + bj)
+        beta[i] = _logsumexp_left_to_right(vals) if vals else NEG_INF
+    return beta
+
+
+def expected_counts_oracle(unit_counts, log_probs):
+    """(counts, log-likelihood, uncoverable units) as forward-backward over
+    each unit's own lattice gave them, unit by unit: the same floats in the
+    same order as the package's expected counts, which share the work of
+    units with a common prefix or suffix."""
+    counts = {p: 0.0 for p in log_probs}
+    ll = 0.0
+    unk = []
+    for unit, freq in unit_counts.items():
+        lattice = lattice_oracle(unit, log_probs)
+        alpha = forward_oracle(lattice, log_probs)
+        log_z = alpha[-1]
+        if log_z == NEG_INF:
+            unk.append(unit)
+            continue
+        beta = backward_oracle(lattice, log_probs)
+        ll += freq * log_z
+        for i, row in enumerate(lattice):
+            ai = alpha[i]
+            if ai == NEG_INF:
+                continue
+            for j, piece in row:
+                bj = beta[j]
+                if bj == NEG_INF:
+                    continue
+                counts[piece] += freq * math.exp(ai + log_probs[piece] + bj - log_z)
+    return counts, ll, unk
+
+
 def strip_markers(pieces):
     out = [pieces[0]]
     for p in pieces[1:]:

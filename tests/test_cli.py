@@ -209,6 +209,17 @@ class TestTrain:
         code = cli.main(train_args(files, out)[:-1] + ["5"])
         assert code == 2
 
+    @pytest.mark.parametrize("rounds", ["0", "-3"])
+    def test_em_iterations_below_one_is_input_error(self, files, capsys, rounds):
+        # with no EM step a round prunes seed frequencies, and the artifact's
+        # probabilities no longer sum to 1
+        out = files["dir"] / "ulm.tok"
+        code = cli.main(train_args(files, str(out), "ulm", "baseline", "--seed-size", "100",
+                                   "--em-iterations-per-round", rounds))
+        assert code == 2
+        assert "em_iterations_per_round must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, files):
         cfg = files["dir"] / "train.cfg"
         cfg.write_text("vocab_size 35\nmin_pair_frequency 3\n", encoding="utf-8")

@@ -21,7 +21,9 @@ from morphtok.ulm import (
     _exact_weights,
     _lattice,
     _logsumexp,
+    _expected_counts,
     _seed_log_probs,
+    _unit_index,
     _viterbi,
     corpus_log_likelihood,
     em_step,
@@ -33,6 +35,7 @@ from morphtok.ulm import (
 from oracles import (
     approximate_utilities_oracle,
     em_step_oracle,
+    expected_counts_oracle,
     lattice_oracle,
     viterbi_exact_lattice_oracle,
     viterbi_lattice_oracle,
@@ -352,6 +355,45 @@ class TestMarginalCounts:
         assert unk == []
 
 
+@st.composite
+def em_instance(draw):
+    """Log-probs over pieces of "ab", drawn as in `ulm_instance`, and units
+    with frequencies; a unit with a "c" in it has no segmentation."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    pieces = sorted({"".join(rng.choices("ab", k=rng.randint(1, 4))) for _ in range(rng.randint(1, 30))})
+    if rng.random() < 0.5:
+        logs = [rng.choice(TIE_PRONE) for _ in pieces]
+    else:
+        logs = draw(st.lists(st.floats(min_value=-12.0, max_value=-0.05),
+                             min_size=len(pieces), max_size=len(pieces)))
+    units = {}
+    for _ in range(rng.randint(1, 8)):
+        alphabet = "abc" if rng.random() < 0.1 else "ab"
+        units["".join(rng.choices(alphabet, k=rng.randint(1, 12)))] = rng.randint(1, 5)
+    return dict(zip(pieces, logs)), units
+
+
+class TestExpectedCounts:
+    @given(em_instance())
+    # a unit that is a prefix of another
+    @example(({"a": -1.0, "b": -0.5, "ab": -1.5, "ba": -0.7}, {"ab": 2, "abba": 1}))
+    # two units that share a suffix
+    @example(({"a": -0.1, "b": -0.7, "ab": -1.1, "bab": -2.3}, {"aab": 1, "bab": 3}))
+    # a -inf entry, one unit only it covers
+    @example(({"a": -1.0, "b": -math.inf, "ab": -0.5, "bb": -1.1}, {"ab": 1, "bb": 2, "aba": 1, "b": 3}))
+    # a unit no entry covers
+    @example(({"a": -1.0, "ab": -0.5}, {"ab": 1, "abc": 2, "b": 1}))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lattice_forward_backward(self, case):
+        # every count is the float each unit's own lattice gave, summed in the same order
+        log_probs, unit_counts = case
+        counts, ll, unk = _expected_counts(unit_counts, log_probs)
+        expected_counts, expected_ll, expected_unk = expected_counts_oracle(unit_counts, log_probs)
+        assert list(counts.items()) == list(expected_counts.items())
+        assert ll == expected_ll
+        assert unk == expected_unk
+
+
 class TestEmStep:
     def test_counts_match_fraction_oracle(self):
         word_freqs = Counter({"abab": 3, "ab": 2, "ba": 1})
@@ -419,7 +461,7 @@ class TestPruning:
         monkeypatch.setattr(ulm, "_prune", stop)
         with pytest.raises(FirstPrune) as stopped:
             ulm_train(load_corpus(MINI / "corpus.txt"), replace(MINI_ULM, seed_suffixes=suffixes))
-        log_probs, unit_counts, _, trie, _, exempt = stopped.value.args
+        log_probs, unit_counts, trie, _, exempt = stopped.value.args
         prunable = [p for p in log_probs if p not in exempt]
 
         expected = approximate_utilities_oracle(prunable, unit_counts, lambda text: _lattice(text, trie),
@@ -428,6 +470,59 @@ class TestPruning:
         assert got == expected
         assert sum(u != 0 for u in got.values()) > 300  # entries in use, whose alternatives were decoded
         assert trie == prefix_trie(log_probs)  # every entry is back in the trie
+
+    @pytest.mark.parametrize("seeded", [False, True], ids=["baseline", "morphseed"])
+    def test_carried_index_matches_fresh_index(self, monkeypatch, seeded):
+        # training builds the index once and filters each pruning round's
+        # dropped entries out of it; every EM step, the first after each
+        # round's pruning among them, must see the index of the kept entries
+        em_step_units = ulm._em_step_units
+        sizes = []
+
+        def checked(unit_counts, log_probs, index):
+            assert index == _unit_index(unit_counts, prefix_trie(log_probs))
+            sizes.append(len(log_probs))
+            return em_step_units(unit_counts, log_probs, index)
+
+        suffixes = tuple(load_suffixes(MINI / "suffixes.txt")) if seeded else None
+        monkeypatch.setattr(ulm, "_em_step_units", checked)
+        vocab = ulm_train(load_corpus(MINI / "corpus.txt"), replace(MINI_ULM, seed_suffixes=suffixes))
+        assert sizes[-1] == len(vocab)
+        assert len(set(sizes)) > 3  # pruning rounds the index was carried through
+
+
+class TestIndexWork:
+    @pytest.mark.parametrize("n", [1000, 2000, 4000])
+    def test_trie_lookups_bounded_by_longest_entry(self, mini_vocab, n):
+        # one training word of n characters: the index walks the vocabulary
+        # trie at most `depth` characters deep from each position
+        steps = [0]
+        depth = mini_vocab.depth()
+        word = live_word(mini_vocab, n, random.Random(n))
+        into, out, positions = _unit_index({word: 1}, counting(mini_vocab.trie(), steps))
+        assert positions == [(list(range(n + 1)), list(range(n, -1, -1)))]
+        assert len(into) == len(out) == n + 1
+        assert 0 < steps[0] <= n * (depth + 1)
+
+    def test_memory_per_character_stays_flat(self, mini_vocab):
+        # an index keyed by each prefix and suffix string would hold
+        # characters in proportion to the word's length squared
+        trie = mini_vocab.trie()
+        rng = random.Random(0)
+        per_char = {}
+        for n in (1000, 2000, 4000):
+            word = live_word(mini_vocab, n, rng)
+            held = [(k, k) for k in range(5000)]  # empties the 2-tuple free list, as in TestDecodeWork
+            tracemalloc.start()
+            try:
+                into, _, _ = _unit_index({word: 1}, trie)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del held
+            assert sum(map(len, into)) > n
+            per_char[n] = peak / n
+        assert per_char[4000] <= 1.5 * per_char[1000], per_char
 
 
 class TestSeedWork:
