@@ -27,8 +27,8 @@ back-pointer per position, so decoding is linear in the unit length
 except where two paths tie exactly on sum and piece count.
 
 With a morph delimiter configured, words split into morpheme segments
-and each segment gets its own lattice, so no piece ever spans a
-morpheme boundary.
+and each segment is decoded, and trained on, as a unit of its own, so no
+piece ever spans a morpheme boundary.
 """
 
 from __future__ import annotations

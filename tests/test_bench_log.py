@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_log.py"
 spec = importlib.util.spec_from_file_location("bench_log", TOOL)
 bench_log = importlib.util.module_from_spec(spec)
@@ -67,3 +69,58 @@ def test_record_with_failed_operations_is_refused(tmp_path):
     assert bench_log.main(["--label", "x", "--out-dir", str(tmp_path), str(good), str(bad)]) == 2
     entries = json.loads((tmp_path / "BENCH_long-tail-encode.json").read_text(encoding="utf-8"))
     assert [e["seed"] for e in entries] == [1]
+
+
+def log_entry(label, commit, seed, **metrics):
+    """An entry of a BENCH_<workload>.json log."""
+    return {"commit": commit, "label": label, "seed": seed, "variant": seed % 2,
+            "environment": {"python": "3.11.7", "git_commit": commit}, "metrics": metrics}
+
+
+def write_log(tmp_path, entries):
+    (tmp_path / "BENCH_zipf-train.json").write_text(json.dumps(entries), encoding="utf-8")
+
+
+def test_summary_gives_median_and_quartiles_per_label(tmp_path):
+    write_log(tmp_path, [log_entry("parent", "aaaa1111ffff", s, pipeline_s=float(s), peak_rss_mib=60.0)
+                         for s in (5, 1, 4, 2, 3)]
+              + [log_entry("change", "bbbb2222ffff", 9, pipeline_s=2.5, ulm_encode_wps=261585.4)])
+    assert bench_log.summary("zipf-train", tmp_path) == [
+        "parent aaaa1111: 5 runs, median [q1, q3]",
+        "  pipeline_s      3.000 [1.500, 4.500] s",
+        "  peak_rss_mib    60.000 [60.000, 60.000] MiB",
+        "change bbbb2222: 1 runs, median [q1, q3]",
+        "  pipeline_s      2.500 [2.500, 2.500] s",
+        "  ulm_encode_wps  261,585 [261,585, 261,585] words/s",
+    ]  # seeds 5 and 9 share no run, so no pairs
+
+
+def test_summary_counts_wins_over_pairs_sharing_a_seed(tmp_path):
+    entries = [log_entry("parent", "p0", 20, pipeline_s=3.0), log_entry("change", "c0", 20, pipeline_s=2.0)]
+    for s in range(1, 11):
+        parent = {"pipeline_s": 2.0 + 0.01 * s, "peak_rss_mib": 70.0 + 0.1 * (s % 3), "ulm_encode_wps": 1000.0}
+        change = {"pipeline_s": parent["pipeline_s"] + (0.1 if s == 10 else -0.5),
+                  "peak_rss_mib": parent["peak_rss_mib"], "ulm_encode_wps": 1000.0 + s}
+        entries += [log_entry("parent", "p1", s, **parent), log_entry("change", "c1", s, **change)]
+    entries.append(log_entry("change", "c1", 11, pipeline_s=1.0))  # no parent run shares its seed
+    write_log(tmp_path, entries)
+    lines = bench_log.summary("zipf-train", tmp_path)
+    first = lines.index("change c0 over parent p0: 1 pairs sharing a seed")
+    # one pair is too few to mark a gain, however large
+    assert lines[first + 1] == "  pipeline_s      won 1/1: 3.000 -> 2.000 s (-33.3%), parent spread 0.000"
+    start = lines.index("change c1 over parent p1: 10 pairs sharing a seed")
+    pipeline, wps, rss = lines[start + 1:start + 4]  # in BENCHMARK.json's order
+    assert pipeline.startswith("  pipeline_s      won 9/10: 2.055 -> 1.555 s") and pipeline.endswith("gain")
+    assert wps.startswith("  ulm_encode_wps  won 10/10: 1,000 -> 1,006 words/s") and wps.endswith("gain")
+    assert rss.startswith("  peak_rss_mib    won 0/10: 70.100 -> 70.100 MiB (+0.0%)")  # ties win nothing
+    assert not rss.endswith("gain")
+
+
+def test_summary_command_line(tmp_path, capsys):
+    write_log(tmp_path, [log_entry("parent", "aaaa1111", 1, pipeline_s=2.0)])
+    assert bench_log.main(["--summary", "zipf-train", "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "  pipeline_s      2.000 [2.000, 2.000] s"
+    assert bench_log.main(["--summary", "mini-latin", "--out-dir", str(tmp_path)]) == 2  # no such log
+    for argv in (["--summary", "zipf-train", "--label", "x"], ["--label", "x"], []):
+        with pytest.raises(SystemExit):
+            bench_log.main(argv)

@@ -19,9 +19,9 @@ from morphtok.ulm import (
     UlmVocabulary,
     _approximate_utilities,
     _exact_weights,
+    _expected_counts,
     _lattice,
     _logsumexp,
-    _expected_counts,
     _seed_log_probs,
     _unit_index,
     _viterbi,
