@@ -425,6 +425,35 @@ def expected_counts_oracle(unit_counts, log_probs):
     return counts, ll, unk
 
 
+def exact_utilities_oracle(prunable, unit_counts, log_probs):
+    """Exact marginal-likelihood loss per entry as the per-unit lattices gave
+    it: each touched unit's forward pass rerun without the entry's edges,
+    units in sorted order, an entry some unit needs costing inf."""
+    lattices = {unit: lattice_oracle(unit, log_probs) for unit in unit_counts}
+    log_z = {}
+    touched = {}
+    for unit, lattice in lattices.items():
+        log_z[unit] = forward_oracle(lattice, log_probs)[-1]
+        for row in lattice:
+            for _, piece in row:
+                touched.setdefault(piece, set()).add(unit)
+    utilities = {}
+    for p in prunable:
+        util = 0.0
+        for unit in sorted(touched.get(p, ())):
+            full = log_z[unit]
+            if full == NEG_INF:
+                continue
+            without_p = [[(j, piece) for j, piece in row if piece != p] for row in lattices[unit]]
+            without = forward_oracle(without_p, log_probs)[-1]
+            if without == NEG_INF:
+                util = math.inf
+                break
+            util += unit_counts[unit] * (full - without)
+        utilities[p] = util
+    return utilities
+
+
 def strip_markers(pieces):
     out = [pieces[0]]
     for p in pieces[1:]:

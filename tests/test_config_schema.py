@@ -191,6 +191,24 @@ PATH_CHOICE_RUNS = {
     }),
 }
 
+# SHA-256 prefixes of ULM artifacts trained with --exact-pruning on the bundled
+# corpus (vocab 1200, seed size 8000, max piece length 10), recorded while exact
+# pruning built a lattice per unit; tests/golden/ulm.tok is a 30-entry vocabulary
+EXACT_PRUNING_SHA256 = {
+    "baseline": "c09ed24ed8bbf125",
+    "morphpretok-acontextual": "893a4a1f4a90ab02",
+}
+
+
+def exact_pruning_args(guidance: str, output: Path) -> list[str]:
+    """The `train` command line of one EXACT_PRUNING_SHA256 run."""
+    args = ["train", "--algorithm", "ulm", "--guidance", guidance, "--corpus", str(MINI / "corpus.txt"),
+            "--vocab-size", "1200", "--seed-size", "8000", "--max-piece-length", "10", "--exact-pruning",
+            "--output", str(output)]
+    if guidance == "morphpretok-acontextual":
+        args += ["--lexicon", str(MINI / "lexicon.tsv")]
+    return args
+
 
 def digest_and_lines(path: Path) -> tuple[str, int]:
     data = path.read_bytes()
@@ -270,3 +288,10 @@ def test_golden_kv_report_bytes(mode, tmp_path):
                      "--gold", str(MINI / gold), "--mode", mode, "--lexicon", str(MINI / "lexicon.tsv"),
                      "--format", "kv", "--output", str(out)]) == 0
     assert digest_and_lines(out) == (digest, lines)
+
+
+@pytest.mark.parametrize("guidance", sorted(EXACT_PRUNING_SHA256))
+def test_exact_pruning_artifact_bytes(guidance, tmp_path):
+    out = tmp_path / "exact.tok"
+    assert cli.main(exact_pruning_args(guidance, out)) == 0
+    assert digest_and_lines(out)[0].startswith(EXACT_PRUNING_SHA256[guidance])

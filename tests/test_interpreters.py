@@ -4,8 +4,9 @@ The package imports only the standard library, so any interpreter from
 3.10 on runs ``python -m morphtok.cli`` from this checkout without
 installing anything. Float code can still round differently between
 versions (3.12's ``sum()`` compensates, for one), so each other
-interpreter found here trains the acceptance and golden artifacts and
-encodes the unseen text, and every byte must match what this suite pins.
+interpreter found here trains the acceptance, exact-pruning and golden
+artifacts and encodes the unseen text, and every byte must match what
+this suite pins.
 """
 
 import glob
@@ -19,8 +20,8 @@ from pathlib import Path
 import pytest
 
 from test_acceptance import ARTIFACT_SHA256, CONFIGS, train_args
-from test_config_schema import (GOLDEN, GOLDEN_ENCODINGS, GOLDEN_RUNS, MINI, digest_and_lines, unseen_text,
-                                write_inputs)
+from test_config_schema import (EXACT_PRUNING_SHA256, GOLDEN, GOLDEN_ENCODINGS, GOLDEN_RUNS, MINI,
+                                digest_and_lines, exact_pruning_args, unseen_text, write_inputs)
 
 ROOT = Path(__file__).resolve().parents[1]
 PYENV = os.path.expanduser("~/.pyenv/versions/3.1[0-3].*/bin/python3")
@@ -62,6 +63,11 @@ def mismatches(python: str, workdir: Path) -> list[str]:
         cli(*train_args(algo, guidance, out))
         if not digest_and_lines(out)[0].startswith(ARTIFACT_SHA256[(algo, guidance)]):
             wrong.append(f"{algo}/{guidance} artifact")
+    for guidance, digest in EXACT_PRUNING_SHA256.items():
+        out = workdir / f"ulm-{guidance}-exact.tok"
+        cli(*exact_pruning_args(guidance, out))
+        if not digest_and_lines(out)[0].startswith(digest):
+            wrong.append(f"ulm/{guidance} exact-pruning artifact")
     for name, args in GOLDEN_RUNS.items():
         cli("train", *args, "--output", name)
         for produced in (name, f"{name}.manifest"):

@@ -18,6 +18,7 @@ from morphtok.ulm import (
     UlmTrainerConfig,
     UlmVocabulary,
     _approximate_utilities,
+    _exact_utilities,
     _exact_weights,
     _expected_counts,
     _lattice,
@@ -35,6 +36,7 @@ from morphtok.ulm import (
 from oracles import (
     approximate_utilities_oracle,
     em_step_oracle,
+    exact_utilities_oracle,
     expected_counts_oracle,
     lattice_oracle,
     viterbi_exact_lattice_oracle,
@@ -394,6 +396,23 @@ class TestExpectedCounts:
         assert unk == expected_unk
 
 
+class TestExactUtilities:
+    @given(em_instance())
+    # a unit that is a prefix of another
+    @example(({"a": -1.0, "b": -0.5, "ab": -1.5, "ba": -0.7}, {"ab": 2, "abba": 1}))
+    # a -inf entry; without "ab" or "bb" their units have only -inf paths left
+    @example(({"a": -1.0, "b": -math.inf, "ab": -0.5, "bb": -1.1}, {"ab": 1, "bb": 2, "aba": 1, "b": 3}))
+    # a unit only "ab" covers
+    @example(({"a": -1.0, "ab": -0.5}, {"ab": 2, "a": 1}))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lattice_oracle(self, case):
+        # every utility is the float each unit's own lattice gave, summed in the same order
+        log_probs, unit_counts = case
+        prunable = list(log_probs)
+        got = _exact_utilities(prunable, unit_counts, prefix_trie(log_probs), log_probs)
+        assert got == exact_utilities_oracle(prunable, unit_counts, log_probs)
+
+
 class TestEmStep:
     def test_counts_match_fraction_oracle(self):
         word_freqs = Counter({"abab": 3, "ab": 2, "ba": 1})
@@ -453,7 +472,8 @@ class TestPruning:
     @pytest.mark.parametrize("seeded", [False, True], ids=["baseline", "morphseed"])
     def test_approximate_utilities_match_lattice_decoder(self, monkeypatch, seeded):
         # the first pruning round of mini-latin at vocab 1200; under morphseed
-        # the seeded suffixes are exempt (their boost applies only to encode)
+        # the seeded suffixes are exempt (their boost applies only to encode);
+        # exact utilities must match their lattice oracle there too
         def stop(*args):
             raise FirstPrune(*args)
 
@@ -464,12 +484,16 @@ class TestPruning:
         log_probs, unit_counts, trie, _, exempt = stopped.value.args
         prunable = [p for p in log_probs if p not in exempt]
 
-        expected = approximate_utilities_oracle(prunable, unit_counts, lambda text: _lattice(text, trie),
+        expected = approximate_utilities_oracle(prunable, unit_counts, lambda text: lattice_oracle(text, log_probs),
                                                 *_exact_weights(log_probs), log_probs)
         got = _approximate_utilities(prunable, unit_counts, trie, log_probs)
         assert got == expected
         assert sum(u != 0 for u in got.values()) > 300  # entries in use, whose alternatives were decoded
         assert trie == prefix_trie(log_probs)  # every entry is back in the trie
+
+        exact = _exact_utilities(prunable, unit_counts, trie, log_probs)
+        assert exact == exact_utilities_oracle(prunable, unit_counts, log_probs)
+        assert sum(u > 0 for u in exact.values()) > 300
 
     @pytest.mark.parametrize("seeded", [False, True], ids=["baseline", "morphseed"])
     def test_carried_index_matches_fresh_index(self, monkeypatch, seeded):
