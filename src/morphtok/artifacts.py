@@ -148,6 +148,8 @@ def load_tokenizer(path):
                 if len(parts) != 3:
                     raise loader_error(path, lineno, "expected piece<TAB>logprob<TAB>flag")
                 piece, lp, flag = parts
+                if not piece or flag not in ("0", "1"):
+                    raise loader_error(path, lineno, "expected a non-empty piece and a flag of 0 or 1")
                 log_probs[piece] = float(lp)
                 if flag == "1":
                     protected.add(piece)

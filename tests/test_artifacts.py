@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from morphtok import artifacts
+from morphtok import artifacts, cli
 from morphtok.artifacts import (
     config_digest,
     load_tokenizer,
@@ -173,6 +173,25 @@ class TestValidation:
         path.write_text(text.replace("# boost 0.5\n", f"# boost {boost}\n"), encoding="utf-8")
         with pytest.raises(LoaderError, match="boost .* is not finite"):
             load_tokenizer(path)
+
+    @pytest.mark.parametrize("bad", [
+        "a\t-25.02269599401323\tx\n",
+        "\t-25.0\t0\na\t-25.02269599401323\t0\n",
+    ], ids=["bad-flag", "empty-piece"])
+    def test_malformed_ulm_entry_rejected(self, tmp_path, capsys, bad):
+        # both used to load: an unknown flag as unprotected, which drops the boost
+        first_entry = "a\t-25.02269599401323\t0\n"
+        text = (GOLDEN / "ulm.tok").read_text(encoding="utf-8")
+        lineno = text.count("\n", 0, text.index(first_entry)) + 1  # where the bad line goes
+        path = tmp_path / "ulm.tok"
+        path.write_text(text.replace(first_entry, bad, 1), encoding="utf-8")
+        message = f":{lineno}: expected a non-empty piece and a flag of 0 or 1"
+        with pytest.raises(LoaderError, match=message):
+            load_tokenizer(path)
+        words = tmp_path / "words.txt"
+        words.write_text("amat\n", encoding="utf-8")
+        assert cli.main(["encode", "--artifact", str(path), "--input", str(words)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_config_key_rejected(self, tmp_path):
         path = tmp_path / "a.tok"
