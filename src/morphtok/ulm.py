@@ -18,7 +18,9 @@ pruning. EM reads each edge more than once, through one index of the
 training units (`_unit_index`): a forward value depends only on a unit's
 prefix and a backward value only on its suffix, so each distinct prefix
 and suffix is scored once per step, and training keeps the index across
-pruning rounds. Exact pruning reads each unit's `_lattice`.
+pruning rounds. Exact pruning reads the same index: the forward value of
+a prefix without one entry also depends only on the prefix, so it is
+scored once per entry, and `_prefix_forward` serves both.
 
 Paths rank by the exact sum of their edge weights, then by fewer pieces,
 then by the smaller piece sequence; a -inf entry makes the sum -inf.
@@ -123,25 +125,6 @@ def _split_units(word_freqs, morph_delimiter: str | None) -> Counter:
     return units
 
 
-def _lattice(unit: str, trie: dict) -> list[list[tuple[int, str]]]:
-    """Segmentation lattice of a unit, one row per character: row i lists
-    the edges (end, piece) that start at position i, shortest first, found
-    by walking the vocabulary's prefix trie from i."""
-    n = len(unit)
-    out: list[list[tuple[int, str]]] = []
-    for i in range(n):
-        row = []
-        node = trie
-        for j in range(i, n):
-            node = node.get(unit[j])
-            if node is None:
-                break
-            if "" in node:
-                row.append((j + 1, node[""]))
-        out.append(row)
-    return out
-
-
 def _ids(chars, children, edges):
     """Ids of the successive prefixes of `chars`, the empty one first, in the
     tree `children` (id -> {character: child id}); a new id gets an edge list."""
@@ -160,7 +143,8 @@ def _unit_index(units, trie):
     from-prefix id) of prefix p by start position, out[s] the out-edges
     (piece, to-suffix id) of suffix s shortest first, and positions each
     unit's prefix and suffix ids at 0..n. Id 0 is the empty prefix or
-    suffix; an edge's other end has the smaller id. Child dicts keyed by
+    suffix; an edge's other end has the smaller id. The edges from each
+    position are found by walking `trie` from it. Child dicts keyed by
     character, not by substring, keep the build linear in the units' length."""
     into, out, positions = [[]], [[]], []
     prefix_children, suffix_children = [{}], [{}]
@@ -168,8 +152,15 @@ def _unit_index(units, trie):
         old_prefixes, old_suffixes = len(into), len(out)  # ids from these on are the unit's own
         pids = _ids(unit, prefix_children, into)
         sids = _ids(reversed(unit), suffix_children, out)[::-1]
-        for i, row in enumerate(_lattice(unit, trie)):
-            for j, piece in row:
+        for i in range(len(unit)):
+            node = trie
+            for j in range(i + 1, len(unit) + 1):
+                node = node.get(unit[j - 1])
+                if node is None:
+                    break
+                piece = node.get("")
+                if piece is None:
+                    continue
                 if sids[i] >= old_suffixes:
                     out[sids[i]].append((piece, sids[j]))
                 if pids[j] >= old_prefixes:
@@ -182,10 +173,11 @@ def _exact_weights(log_probs, protected=frozenset(), boost=0.0) -> tuple[dict[st
     """Edge weights as exact integers over one power-of-two `scale`: piece ->
     weight * scale, or None for -inf. A protected piece's boost is added to
     its float log-prob first, as a decode always did."""
-    floats = {p: lp + boost if boost and p in protected else lp for p, lp in log_probs.items()}
-    ratios = {p: None if w == NEG_INF else w.as_integer_ratio() for p, w in floats.items()}
-    scale = max((r[1] for r in ratios.values() if r), default=1)
-    return {p: None if r is None else r[0] * (scale // r[1]) for p, r in ratios.items()}, scale
+    weights = {p: lp + boost if boost and p in protected else lp for p, lp in log_probs.items()}
+    scale = max((w.as_integer_ratio()[1] for w in weights.values() if w != NEG_INF), default=1)
+    for p, w in weights.items():  # in place, so no second dict of every entry is held
+        weights[p] = None if w == NEG_INF else (r := w.as_integer_ratio())[0] * (scale // r[1])
+    return weights, scale
 
 
 def _viterbi(unit, trie, depth, weights, scale):
@@ -267,20 +259,18 @@ def ulm_encode(word: str, vocab: UlmVocabulary, morph_delimiter: str | None = No
     return pieces
 
 
-def _forward(lattice, log_probs):
-    n = len(lattice)
-    contrib: list[list[float]] = [[] for _ in range(n + 1)]
-    alpha = [NEG_INF] * (n + 1)
-    alpha[0] = 0.0
-    for i in range(n):
-        if i > 0:
-            alpha[i] = _logsumexp(contrib[i]) if contrib[i] else NEG_INF
-        ai = alpha[i]
-        if ai == NEG_INF:
-            continue
-        for j, piece in lattice[i]:
-            contrib[j].append(ai + log_probs[piece])
-    alpha[n] = _logsumexp(contrib[n]) if contrib[n] else NEG_INF
+def _prefix_forward(edges, alpha, log_probs, without=None):
+    """Forward value of a prefix: the logsumexp, in start order, of alpha[f] +
+    log_probs[p] over its in-edges (p, f) from live prefixes f, except entry `without`'s."""
+    vals = [alpha[f] + log_probs[p] for p, f in edges if alpha[f] != NEG_INF and p != without]
+    return _logsumexp(vals) if vals else NEG_INF
+
+
+def _forward_values(into, log_probs):
+    """Forward value of every prefix id of a `_unit_index`, id 0 the empty prefix."""
+    alpha = [0.0]
+    for edges in into[1:]:
+        alpha.append(_prefix_forward(edges, alpha, log_probs))
     return alpha
 
 
@@ -298,10 +288,7 @@ def _expected_counts(unit_counts, log_probs, index=None):
     if index is None:
         index = _unit_index(unit_counts, prefix_trie(log_probs))
     into, out, positions = index
-    alpha = [0.0]
-    for edges in into[1:]:
-        vals = [alpha[f] + log_probs[p] for p, f in edges if alpha[f] != NEG_INF]
-        alpha.append(_logsumexp(vals) if vals else NEG_INF)
+    alpha = _forward_values(into, log_probs)
     beta = [0.0]
     for edges in out[1:]:
         vals = [log_probs[p] + beta[t] for p, t in edges if beta[t] != NEG_INF]
@@ -418,42 +405,50 @@ def _approximate_utilities(prunable, unit_counts, trie, log_probs):
     return utilities
 
 
-def _exact_utilities(prunable, unit_counts, trie, log_probs):
-    """Exact marginal-likelihood loss per entry (recomputes affected lattices).
-    `trie` holds the entries of `log_probs`."""
-    lattices = {unit: _lattice(unit, trie) for unit in unit_counts}
-    log_z = {}
-    touched: dict[str, set[str]] = {}
-    for unit, lattice in lattices.items():
-        log_z[unit] = _forward(lattice, log_probs)[-1]
-        for row in lattice:
-            for _, piece in row:
-                touched.setdefault(piece, set()).add(unit)
+def _exact_utilities(prunable, unit_counts, index, log_probs):
+    """Exact marginal-likelihood loss per entry p, over the units' `index`
+    (see `_unit_index`) of the entries of `log_probs`: over the units p occurs
+    in, in sorted order, the sum of frequency * (forward value with p - without
+    p), or inf if one has no path without p. A forward value depends only on
+    the prefix, so one dict of them per p serves all its units; each value
+    and sum is the one the unit's own lattice gave."""
+    into, _, positions = index
+    alpha = _forward_values(into, log_probs)
+    prefixes = {unit: pids for unit, (pids, _) in zip(unit_counts, positions)}
+    touched: dict[str, list[str]] = {}  # entry -> the units it occurs in, sorted
+    for unit in sorted(prefixes):
+        for piece in {p for pid in prefixes[unit] for p, _ in into[pid]}:
+            touched.setdefault(piece, []).append(unit)
     utilities = {}
     for p in prunable:
         util = 0.0
-        for unit in sorted(touched.get(p, ())):
-            full = log_z[unit]
+        without = {}  # forward values without p, by prefix id
+        for unit in touched.get(p, ()):
+            pids = prefixes[unit]
+            full = alpha[pids[-1]]
             if full == NEG_INF:
                 continue
-            without_p = [[(j, piece) for j, piece in row if piece != p] for row in lattices[unit]]
-            without = _forward(without_p, log_probs)[-1]
-            if without == NEG_INF:
+            start = unit.find(p) + len(p)  # the shortest prefix p occurs in
+            for k, pid in enumerate(pids):
+                if pid not in without:
+                    without[pid] = alpha[pid] if k < start else _prefix_forward(into[pid], without, log_probs, p)
+            if without[pids[-1]] == NEG_INF:
                 util = math.inf
                 break
-            util += unit_counts[unit] * (full - without)
+            util += unit_counts[unit] * (full - without[pids[-1]])
         utilities[p] = util
     return utilities
 
 
-def _prune(log_probs, unit_counts, trie, cfg: UlmTrainerConfig, exempt):
+def _prune(log_probs, unit_counts, trie, index, cfg: UlmTrainerConfig, exempt):
     """Drop the least useful non-exempt entries; called only while `log_probs`
-    holds more than cfg.vocab_size entries, all of `exempt` among them."""
+    holds more than cfg.vocab_size entries, all of `exempt` among them. Exact
+    pruning reads `index`, approximate pruning `trie`, both of `log_probs`."""
     overshoot = len(log_probs) - cfg.vocab_size
     prunable = [p for p in log_probs if p not in exempt]
     k = max(1, min(int(len(prunable) * (1 - cfg.shrinking_factor)), overshoot))
     if cfg.exact_pruning:
-        utilities = _exact_utilities(prunable, unit_counts, trie, log_probs)
+        utilities = _exact_utilities(prunable, unit_counts, index, log_probs)
     else:
         utilities = _approximate_utilities(prunable, unit_counts, trie, log_probs)
     drop = set(sorted(prunable, key=lambda p: (utilities[p], p))[:k])
@@ -487,7 +482,7 @@ def ulm_train(corpus: Corpus, cfg: UlmTrainerConfig) -> UlmVocabulary:
             log_probs, _, _ = _em_step_units(unit_counts, log_probs, index)
         if len(log_probs) <= cfg.vocab_size:
             break
-        log_probs = _prune(log_probs, unit_counts, trie, cfg, exempt)
+        log_probs = _prune(log_probs, unit_counts, trie, index, cfg, exempt)
         trie = prefix_trie(log_probs)
         for edges in index[0] + index[1]:  # the pruned entries' edges leave the index
             edges[:] = [e for e in edges if e[0] in log_probs]

@@ -179,7 +179,7 @@ class TestValidation:
         "\t-25.0\t0\na\t-25.02269599401323\t0\n",
     ], ids=["bad-flag", "empty-piece"])
     def test_malformed_ulm_entry_rejected(self, tmp_path, capsys, bad):
-        # both used to load: an unknown flag as unprotected, which drops the boost
+        # neither may load: an unknown flag would read as unprotected and drop the boost
         first_entry = "a\t-25.02269599401323\t0\n"
         text = (GOLDEN / "ulm.tok").read_text(encoding="utf-8")
         lineno = text.count("\n", 0, text.index(first_entry)) + 1  # where the bad line goes

@@ -21,7 +21,6 @@ from morphtok.ulm import (
     _exact_utilities,
     _exact_weights,
     _expected_counts,
-    _lattice,
     _logsumexp,
     _seed_log_probs,
     _unit_index,
@@ -198,7 +197,7 @@ class TestViterbiOracle:
     def test_matches_tuple_fsum_decoder(self, case):
         # the decoder that keeps each node's whole path and fsums it per edge
         log_probs, protected, boost, word = case
-        lattice = _lattice(word, prefix_trie(log_probs))
+        lattice = lattice_oracle(word, log_probs)
         expected = viterbi_lattice_oracle(lattice, log_probs, protected, boost)
         got = decode(word, log_probs, protected, boost)
         if expected is None:
@@ -215,7 +214,7 @@ class TestViterbiOracle:
     def test_matches_lattice_decoder(self, case):
         # the decoder that read a lattice built before it, row by row
         log_probs, protected, boost, word = case
-        lattice = _lattice(word, prefix_trie(log_probs))
+        lattice = lattice_oracle(word, log_probs)
         expected = viterbi_exact_lattice_oracle(lattice, *_exact_weights(log_probs, protected, boost))
         assert decode(word, log_probs, protected, boost) == expected
 
@@ -315,8 +314,16 @@ class TestLattice:
     @given(pieces_and_unit())
     @settings(max_examples=300)
     def test_trie_walk_matches_slicing(self, case):
+        # the index's in-edges of each prefix are the lattice edges that end
+        # there, by start; its out-edges of each suffix the lattice row there
         pieces, unit = case
-        assert _lattice(unit, prefix_trie(pieces)) == lattice_oracle(unit, pieces)
+        into, out, [(pids, sids)] = _unit_index({unit: 1}, prefix_trie(pieces))
+        lattice = lattice_oracle(unit, pieces)
+        for j in range(1, len(unit) + 1):
+            ending = [(piece, pids[i]) for i, row in enumerate(lattice) for end, piece in row if end == j]
+            assert into[pids[j]] == ending
+        for i, row in enumerate(lattice):
+            assert out[sids[i]] == [(piece, sids[end]) for end, piece in row]
 
 
 class TestLogSumExp:
@@ -409,7 +416,8 @@ class TestExactUtilities:
         # every utility is the float each unit's own lattice gave, summed in the same order
         log_probs, unit_counts = case
         prunable = list(log_probs)
-        got = _exact_utilities(prunable, unit_counts, prefix_trie(log_probs), log_probs)
+        index = _unit_index(unit_counts, prefix_trie(log_probs))
+        got = _exact_utilities(prunable, unit_counts, index, log_probs)
         assert got == exact_utilities_oracle(prunable, unit_counts, log_probs)
 
 
@@ -481,7 +489,7 @@ class TestPruning:
         monkeypatch.setattr(ulm, "_prune", stop)
         with pytest.raises(FirstPrune) as stopped:
             ulm_train(load_corpus(MINI / "corpus.txt"), replace(MINI_ULM, seed_suffixes=suffixes))
-        log_probs, unit_counts, trie, _, exempt = stopped.value.args
+        log_probs, unit_counts, trie, index, _, exempt = stopped.value.args
         prunable = [p for p in log_probs if p not in exempt]
 
         expected = approximate_utilities_oracle(prunable, unit_counts, lambda text: lattice_oracle(text, log_probs),
@@ -491,7 +499,7 @@ class TestPruning:
         assert sum(u != 0 for u in got.values()) > 300  # entries in use, whose alternatives were decoded
         assert trie == prefix_trie(log_probs)  # every entry is back in the trie
 
-        exact = _exact_utilities(prunable, unit_counts, trie, log_probs)
+        exact = _exact_utilities(prunable, unit_counts, index, log_probs)
         assert exact == exact_utilities_oracle(prunable, unit_counts, log_probs)
         assert sum(u > 0 for u in exact.values()) > 300
 
