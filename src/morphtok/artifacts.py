@@ -150,6 +150,8 @@ def load_tokenizer(path):
                 piece, lp, flag = parts
                 if not piece or flag not in ("0", "1"):
                     raise loader_error(path, lineno, "expected a non-empty piece and a flag of 0 or 1")
+                if piece in log_probs:
+                    raise loader_error(path, lineno, f"repeated piece {piece!r}")
                 log_probs[piece] = float(lp)
                 if flag == "1":
                     protected.add(piece)

@@ -25,6 +25,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import LoaderError, loader_error
 from .morphology import ANALYZER_TAGS, UD_TAGS, MorphAnalysis
@@ -125,11 +126,8 @@ class Corpus:
     sentences: list[list[str]]
 
     def word_counts(self) -> Counter:
-        """Token frequency per word type."""
-        counts = Counter()
-        for sentence in self.sentences:
-            counts.update(sentence)
-        return counts
+        """Token frequency per word type, keyed in order of first occurrence."""
+        return Counter(chain.from_iterable(self.sentences))
 
     @property
     def n_words(self) -> int:

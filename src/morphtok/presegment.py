@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .corpus import DEFAULT_DELIMITER, Corpus, MorphLexicon, TaggedCorpus, split_on_delimiter
 from .morphology import DisambiguationRule, acontextual_choice, disambiguate
@@ -95,7 +96,7 @@ def _presegment_tokens(sentences, presegment_token, delimiter: str) -> Presegmen
     """Presegment every token of `sentences`, calling `presegment_token`
     (which returns a :func:`_presegment` result) once per distinct token;
     the stats still count every token."""
-    counts = Counter(token for sentence in sentences for token in sentence)
+    counts = Counter(chain.from_iterable(sentences))
     chosen = {token: presegment_token(token) for token in counts}
     stats = PresegStats(total_words=sum(counts.values()))
     for token, n in counts.items():

@@ -13,20 +13,24 @@ single characters are never pruned so every training word stays
 segmentable.
 
 `_viterbi` walks the vocabulary's prefix trie (`corpus.prefix_trie`)
-and scores each piece as it finds it, for decoding and approximate
-pruning. EM reads each edge more than once, through one index of the
-training units (`_unit_index`): a forward value depends only on a unit's
-prefix and a backward value only on its suffix, so each distinct prefix
-and suffix is scored once per step, and training keeps the index across
-pruning rounds. Exact pruning reads the same index: the forward value of
-a prefix without one entry also depends only on the prefix, so it is
-scored once per entry, and `_prefix_forward` serves both.
+and scores each piece as it finds it, for decoding and for the best
+alternative of an entry approximate pruning would drop. EM reads each
+edge more than once, through one index of the training units
+(`_unit_index`): a forward value depends only on a unit's prefix and a
+backward value only on its suffix, so each distinct prefix and suffix is
+scored once per step, and training keeps the index across pruning
+rounds. Exact pruning reads the same index: the forward value of a
+prefix without one entry also depends only on the prefix, so it is
+scored once per entry, and `_prefix_forward` serves both. So does the
+usage count of approximate pruning: a best path, too, depends only on
+the prefix, and `_best_paths` finds every prefix's in one pass.
 
 Paths rank by the exact sum of their edge weights, then by fewer pieces,
 then by the smaller piece sequence; a -inf entry makes the sum -inf.
 Viterbi keeps that sum as an integer over one power-of-two scale, with a
 back-pointer per position, so decoding is linear in the unit length
-except where two paths tie exactly on sum and piece count.
+except where two paths tie exactly on sum and piece count. There
+`_smaller_path` decides, for `_viterbi` and `_best_paths` alike.
 
 With a morph delimiter configured, words split into morpheme segments
 and each segment is decoded, and trained on, as a unit of its own, so no
@@ -172,12 +176,41 @@ def _unit_index(units, trie):
 def _exact_weights(log_probs, protected=frozenset(), boost=0.0) -> tuple[dict[str, int | None], int]:
     """Edge weights as exact integers over one power-of-two `scale`: piece ->
     weight * scale, or None for -inf. A protected piece's boost is added to
-    its float log-prob first, as a decode always did."""
+    its float log-prob first, as a decode always did.
+
+    The scale is 2**k, where k >= 0 is 53 less the `frexp` exponent of the
+    least finite non-zero magnitude, so each weight times 2.0**k is an
+    integer, exactly. Where 2.0**k or the largest magnitude times it would
+    overflow a float, the scale is the largest `as_integer_ratio`
+    denominator instead. Either way weight / scale is the weight."""
     weights = {p: lp + boost if boost and p in protected else lp for p, lp in log_probs.items()}
+    least = min((abs(w) for w in weights.values() if w and w != NEG_INF), default=0.0)
+    most = max((abs(w) for w in weights.values() if w != NEG_INF), default=0.0)
+    k = max(0, 53 - math.frexp(least)[1]) if least else 0
+    if k < 1024 and most * 2.0**k < math.inf:
+        scaled, scale = 2.0**k, 1 << k
+        for p, w in weights.items():  # in place, so no second dict of every entry is held
+            weights[p] = None if w == NEG_INF else int(w * scaled)
+        return weights, scale
     scale = max((w.as_integer_ratio()[1] for w in weights.values() if w != NEG_INF), default=1)
-    for p, w in weights.items():  # in place, so no second dict of every entry is held
+    for p, w in weights.items():
         weights[p] = None if w == NEG_INF else (r := w.as_integer_ratio())[0] * (scale // r[1])
     return weights, scale
+
+
+def _smaller_path(u, pu, v, pv, back, last):
+    """Of two paths into one node that tie exactly on sum and piece count,
+    the one ending in edge `pu` from node u and the one ending in `pv` from
+    v, True when the first is the smaller piece sequence. `back` and `last`
+    hold each node's best path as its last edge's start and piece; a node
+    comes after its back-pointer in their order. The two paths share every
+    piece up to their last common node, and the first pieces after it decide."""
+    while u != v:
+        if u > v:
+            u, pu = back[u], last[u]
+        else:
+            v, pv = back[v], last[v]
+    return pu < pv
 
 
 def _viterbi(unit, trie, depth, weights, scale):
@@ -192,8 +225,7 @@ def _viterbi(unit, trie, depth, weights, scale):
     paths gain one edge, so one path per node finds the best on finite
     weights. The score is the sum correctly rounded, as math.fsum gives.
     With a back-pointer per node an edge costs O(1) outside exact ties of
-    sum and count. There the two paths into a node share every piece up
-    to their last common node, and the first pieces after it decide.
+    sum and count, which `_smaller_path` decides.
     """
     n = len(unit)
     count = [0] * (n + 1)
@@ -222,15 +254,8 @@ def _viterbi(unit, trie, depth, weights, scale):
             if cur is not None and t <= cur:
                 if t < cur or c > count[j]:
                     continue
-                if c == count[j]:  # exact tie: the smaller piece sequence wins
-                    u, pu, v, pv = i, piece, back[j], last[j]
-                    while u != v:
-                        if u > v:
-                            u, pu = back[u], last[u]
-                        else:
-                            v, pv = back[v], last[v]
-                    if pu >= pv:
-                        continue
+                if c == count[j] and not _smaller_path(i, piece, back[j], last[j], back, last):
+                    continue  # exact tie: the smaller piece sequence wins
             count[j], total[j], back[j], last[j] = c, t, i, piece
     t = total[n]
     if t is None:
@@ -374,21 +399,65 @@ def _seed_log_probs(unit_counts, cfg: UlmTrainerConfig, exempt) -> dict[str, flo
     return {p: math.log(w) - log_total for p, w in weights.items()}
 
 
-def _approximate_utilities(prunable, unit_counts, trie, log_probs):
+def _best_paths(into, weights):
+    """The best path to every prefix id of a `_unit_index`, in `_viterbi`'s
+    order over the same `weights`: (total, back, last) per id, as `_viterbi`
+    keeps them per position, total None where no path reaches.
+
+    The best path to a prefix depends only on the prefix, and an in-edge
+    comes from a smaller id, so one pass in id order reads each in-edge
+    once, each prefix's in start order, as `_viterbi` relaxes the edges
+    into a position. Ids along one unit's chain grow with its positions,
+    so `_smaller_path` walks them as it walks positions."""
+    n = len(into)
+    count = [0] * n
+    total: list[int | float | None] = [None] * n
+    back = [0] * n
+    last: list[str] = [""] * n
+    total[0] = 0
+    for q in range(1, n):
+        cur = None  # q's best so far: sum cur, count c_q, last edge p_q from f_q
+        for piece, f in into[q]:
+            t_f = total[f]
+            if t_f is None:
+                continue
+            w = weights[piece]
+            t = NEG_INF if w is None or t_f == NEG_INF else t_f + w
+            c = count[f] + 1
+            if cur is not None and t <= cur:
+                if t < cur or c > c_q:
+                    continue
+                if c == c_q and not _smaller_path(f, piece, f_q, p_q, back, last):
+                    continue
+            cur, c_q, f_q, p_q = t, c, f, piece
+        if cur is not None:
+            total[q], count[q], back[q], last[q] = cur, c_q, f_q, p_q
+    return total, back, last
+
+
+def _approximate_utilities(prunable, unit_counts, trie, index, log_probs):
     """Likelihood loss if an entry is removed, under current Viterbi segmentations.
 
     usage(p) * (logprob(p) - best alternative for p's string); unused
-    entries cost nothing to remove. `trie` holds the entries of `log_probs`.
+    entries cost nothing to remove. `trie` and `index` (see `_unit_index`)
+    hold the entries of `log_probs`. Usage comes from `_best_paths` over
+    the index: each unit's frequency is pushed back from its final prefix
+    id along the back-pointers, in reverse id order. Only the alternative
+    of a used entry, whose string the index lacks, is decoded by `_viterbi`.
     """
     weights, scale = _exact_weights(log_probs)
-    depth = max(map(len, log_probs))
+    into, _, positions = index
+    total, back, last = _best_paths(into, weights)
+    through = [0] * len(into)  # frequency of the units whose best path runs through each prefix id
+    for freq, (pids, _) in zip(unit_counts.values(), positions):
+        through[pids[-1]] += freq
     usage: Counter = Counter()
-    for unit, freq in unit_counts.items():
-        res = _viterbi(unit, trie, depth, weights, scale)
-        if res is None:
-            continue
-        for piece in res[2]:
-            usage[piece] += freq
+    for q in range(len(into) - 1, 0, -1):
+        f = through[q]
+        if f and total[q] is not None:
+            usage[last[q]] += f
+            through[back[q]] += f
+    depth = max(map(len, log_probs))
     utilities = {}
     for p in prunable:
         f = usage.get(p, 0)
@@ -443,14 +512,15 @@ def _exact_utilities(prunable, unit_counts, index, log_probs):
 def _prune(log_probs, unit_counts, trie, index, cfg: UlmTrainerConfig, exempt):
     """Drop the least useful non-exempt entries; called only while `log_probs`
     holds more than cfg.vocab_size entries, all of `exempt` among them. Exact
-    pruning reads `index`, approximate pruning `trie`, both of `log_probs`."""
+    pruning reads `index`, approximate pruning `index` and `trie`, all of
+    `log_probs`."""
     overshoot = len(log_probs) - cfg.vocab_size
     prunable = [p for p in log_probs if p not in exempt]
     k = max(1, min(int(len(prunable) * (1 - cfg.shrinking_factor)), overshoot))
     if cfg.exact_pruning:
         utilities = _exact_utilities(prunable, unit_counts, index, log_probs)
     else:
-        utilities = _approximate_utilities(prunable, unit_counts, trie, log_probs)
+        utilities = _approximate_utilities(prunable, unit_counts, trie, index, log_probs)
     drop = set(sorted(prunable, key=lambda p: (utilities[p], p))[:k])
     return {p: lp for p, lp in log_probs.items() if p not in drop}
 

@@ -174,18 +174,20 @@ class TestValidation:
         with pytest.raises(LoaderError, match="boost .* is not finite"):
             load_tokenizer(path)
 
-    @pytest.mark.parametrize("bad", [
-        "a\t-25.02269599401323\tx\n",
-        "\t-25.0\t0\na\t-25.02269599401323\t0\n",
-    ], ids=["bad-flag", "empty-piece"])
-    def test_malformed_ulm_entry_rejected(self, tmp_path, capsys, bad):
-        # neither may load: an unknown flag would read as unprotected and drop the boost
+    @pytest.mark.parametrize("bad, offset, problem", [
+        ("a\t-25.02269599401323\tx\n", 0, "expected a non-empty piece and a flag of 0 or 1"),
+        ("\t-25.0\t0\na\t-25.02269599401323\t0\n", 0, "expected a non-empty piece and a flag of 0 or 1"),
+        ("a\t-25.02269599401323\t0\na\t-30.0\t1\n", 1, "repeated piece 'a'"),
+    ], ids=["bad-flag", "empty-piece", "repeated-piece"])
+    def test_malformed_ulm_entry_rejected(self, tmp_path, capsys, bad, offset, problem):
+        # none may load: an unknown flag would read as unprotected and drop the
+        # boost, and a repeat, if the later line won, would load "a" boosted
         first_entry = "a\t-25.02269599401323\t0\n"
         text = (GOLDEN / "ulm.tok").read_text(encoding="utf-8")
-        lineno = text.count("\n", 0, text.index(first_entry)) + 1  # where the bad line goes
+        lineno = text.count("\n", 0, text.index(first_entry)) + 1 + offset  # the bad line
         path = tmp_path / "ulm.tok"
         path.write_text(text.replace(first_entry, bad, 1), encoding="utf-8")
-        message = f":{lineno}: expected a non-empty piece and a flag of 0 or 1"
+        message = f":{lineno}: {problem}"
         with pytest.raises(LoaderError, match=message):
             load_tokenizer(path)
         words = tmp_path / "words.txt"

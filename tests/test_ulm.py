@@ -18,6 +18,7 @@ from morphtok.ulm import (
     UlmTrainerConfig,
     UlmVocabulary,
     _approximate_utilities,
+    _best_paths,
     _exact_utilities,
     _exact_weights,
     _expected_counts,
@@ -226,6 +227,35 @@ class TestViterbiOracle:
         assert (count, pieces) == (3, ["a", "b", "c"])
 
 
+class TestExactWeights:
+    @pytest.mark.parametrize("log_probs, scale", [
+        # 2**k from the least magnitude's frexp exponent; the largest
+        # as_integer_ratio denominator would be 2**55
+        ({"a": -0.1, "b": -7.3, "c": 0.0, "d": -math.inf}, 2**56),
+        ({"a": 1e300, "b": -1e300, "c": 0.0, "d": -math.inf}, 1),  # k = 0
+        ({"a": -(2.0**-970), "b": -1.0}, 2**1022),
+        ({"a": -(2.0**-971), "b": -1.0}, 2**1023),  # the largest k whose 2.0**k is a float
+        # the as_integer_ratio branch: 2.0**k overflows, or the largest weight times it
+        ({"a": -(2.0**-972), "b": -1.0}, 2**972),
+        ({"a": 5e-324, "b": -1.0, "c": 0.0, "d": -math.inf}, 2**1074),
+        ({"a": 1e300, "b": -1e300, "c": -0.75, "d": 0.0, "e": -math.inf}, 4),
+    ], ids=["frexp", "frexp-huge", "frexp-k1022", "frexp-k1023", "ratio-k1024", "ratio-subnormal", "ratio-huge"])
+    def test_weights_are_the_floats(self, log_probs, scale):
+        weights, got_scale = _exact_weights(log_probs)
+        assert got_scale == scale
+        for p, w in log_probs.items():
+            assert weights[p] is None if w == -math.inf else Fraction(weights[p], scale) == Fraction(w)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.just(-math.inf), max_size=12))
+    @settings(max_examples=300)
+    def test_any_floats(self, floats):
+        log_probs = {str(k): w for k, w in enumerate(floats)}
+        weights, scale = _exact_weights(log_probs)
+        assert scale & (scale - 1) == 0
+        for p, w in log_probs.items():
+            assert weights[p] is None if w == -math.inf else Fraction(weights[p], scale) == Fraction(w)
+
+
 MINI_ULM = UlmTrainerConfig(vocab_size=1200, seed_size=8000, max_piece_length=10)
 
 
@@ -421,6 +451,84 @@ class TestExactUtilities:
         assert got == exact_utilities_oracle(prunable, unit_counts, log_probs)
 
 
+def index_paths(units, log_probs, protected=frozenset(), boost=0.0):
+    """Each unit's best (score, piece_count, pieces) from `_best_paths` over the
+    units' index, read back from its final prefix id, or None; and the same
+    from `_viterbi`, in the unit order of `units`."""
+    weights, scale = _exact_weights(log_probs, protected, boost)
+    trie = prefix_trie(log_probs)
+    into, _, positions = _unit_index(units, trie)
+    total, back, last = _best_paths(into, weights)
+    got, decoded = [], []
+    for unit, (pids, _) in zip(units, positions):
+        q = pids[-1]
+        t = total[q]
+        pieces = []
+        while q:
+            pieces.append(last[q])
+            q = back[q]
+        got.append(None if t is None else (-math.inf if t == -math.inf else t / scale, len(pieces), pieces[::-1]))
+        decoded.append(_viterbi(unit, trie, max(map(len, log_probs)), weights, scale))
+    return got, decoded
+
+
+class TestIndexPaths:
+    # every unit's path from the one pass over the index is the one `_viterbi`
+    # finds; where the best sum is finite, also the one enumeration finds (on
+    # -inf paths `_viterbi` keeps the known gap to the oracle, which this pins)
+
+    @given(ulm_instance())
+    @example(ULP_PREFIX)
+    @example(ROUNDS_TO_TIE)
+    @example(DEAD_ONLY)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_decoder_on_every_prefix(self, case):
+        # the word and each of its prefixes as units, with protected entries
+        # boosted, so the walk back from every prefix id is checked
+        log_probs, protected, boost, word = case
+        units = {word[:k]: 1 for k in range(len(word), 0, -1)}
+        got, decoded = index_paths(units, log_probs, protected, boost)
+        assert got == decoded
+        for unit, path in zip(units, got):
+            if path is not None and path[0] != -math.inf:
+                assert path[2] == viterbi_oracle(unit, log_probs, protected, boost)
+
+    @given(em_instance())
+    # a unit that is a prefix of another
+    @example(({"a": -1.0, "b": -0.5, "ab": -1.5, "ba": -0.7}, {"ab": 2, "abba": 1}))
+    # every path ties on sum and count: the smaller sequence decides through shared prefixes
+    @example(({"a": -1.0, "aa": -2.0, "b": -1.0, "ab": -2.0}, {"aaab": 1, "aaaa": 1, "aab": 1}))
+    # a -inf entry, one unit only it covers
+    @example(({"a": -1.0, "b": -math.inf, "ab": -0.5, "bb": -1.1}, {"ab": 1, "bb": 2, "aba": 1, "b": 3}))
+    # a subnormal puts the scale at 2**1074, past a float: no weight may be added to -inf
+    @example(({"a": -math.inf, "b": -1.0, "ab": -5e-324}, {"ab": 1, "abb": 2}))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_decoder_on_shared_prefixes(self, case):
+        log_probs, unit_counts = case
+        got, decoded = index_paths(unit_counts, log_probs)
+        assert got == decoded
+        for unit, path in zip(unit_counts, got):
+            if path is not None and path[0] != -math.inf:
+                assert path[2] == viterbi_oracle(unit, log_probs)
+
+    @given(em_instance())
+    # paths of several pieces, through prefixes units share
+    @example(({"a": -1.0, "b": -0.5, "ab": -1.5, "ba": -0.7}, {"ab": 2, "abba": 1, "abab": 3}))
+    @settings(max_examples=300, deadline=None)
+    def test_usage_matches_lattice_decoder(self, case):
+        # usage pushed back along the index's back-pointers is the per-unit
+        # decode's; a -inf entry whose alternative is -inf has utility nan
+        log_probs, unit_counts = case
+        trie = prefix_trie(log_probs)
+        index = _unit_index(unit_counts, trie)
+        got = _approximate_utilities(list(log_probs), unit_counts, trie, index, log_probs)
+        expected = approximate_utilities_oracle(list(log_probs), unit_counts,
+                                                lambda text: lattice_oracle(text, log_probs),
+                                                *_exact_weights(log_probs), log_probs)
+        assert list(got) == list(expected)
+        assert all(u == v or u != u and v != v for u, v in zip(got.values(), expected.values()))
+
+
 class TestEmStep:
     def test_counts_match_fraction_oracle(self):
         word_freqs = Counter({"abab": 3, "ab": 2, "ba": 1})
@@ -476,25 +584,41 @@ class FirstPrune(Exception):
     """Raised in place of the first pruning round, carrying its arguments."""
 
 
+def first_pruning_round(seeded):
+    """The arguments of the first pruning round of mini-latin at vocab 1200:
+    (log_probs, unit_counts, trie, index, cfg, exempt)."""
+    def stop(*args):
+        raise FirstPrune(*args)
+
+    suffixes = tuple(load_suffixes(MINI / "suffixes.txt")) if seeded else None
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(FirstPrune) as stopped:
+        patch.setattr(ulm, "_prune", stop)
+        ulm_train(load_corpus(MINI / "corpus.txt"), replace(MINI_ULM, seed_suffixes=suffixes))
+    return stopped.value.args
+
+
+class ReadCountingDict(dict):
+    """A dict that counts the values its subscripts hand out."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
 class TestPruning:
     @pytest.mark.parametrize("seeded", [False, True], ids=["baseline", "morphseed"])
-    def test_approximate_utilities_match_lattice_decoder(self, monkeypatch, seeded):
+    def test_approximate_utilities_match_lattice_decoder(self, seeded):
         # the first pruning round of mini-latin at vocab 1200; under morphseed
         # the seeded suffixes are exempt (their boost applies only to encode);
         # exact utilities must match their lattice oracle there too
-        def stop(*args):
-            raise FirstPrune(*args)
-
-        suffixes = tuple(load_suffixes(MINI / "suffixes.txt")) if seeded else None
-        monkeypatch.setattr(ulm, "_prune", stop)
-        with pytest.raises(FirstPrune) as stopped:
-            ulm_train(load_corpus(MINI / "corpus.txt"), replace(MINI_ULM, seed_suffixes=suffixes))
-        log_probs, unit_counts, trie, index, _, exempt = stopped.value.args
+        log_probs, unit_counts, trie, index, _, exempt = first_pruning_round(seeded)
         prunable = [p for p in log_probs if p not in exempt]
 
         expected = approximate_utilities_oracle(prunable, unit_counts, lambda text: lattice_oracle(text, log_probs),
                                                 *_exact_weights(log_probs), log_probs)
-        got = _approximate_utilities(prunable, unit_counts, trie, log_probs)
+        got = _approximate_utilities(prunable, unit_counts, trie, index, log_probs)
         assert got == expected
         assert sum(u != 0 for u in got.values()) > 300  # entries in use, whose alternatives were decoded
         assert trie == prefix_trie(log_probs)  # every entry is back in the trie
@@ -502,6 +626,28 @@ class TestPruning:
         exact = _exact_utilities(prunable, unit_counts, index, log_probs)
         assert exact == exact_utilities_oracle(prunable, unit_counts, log_probs)
         assert sum(u > 0 for u in exact.values()) > 300
+
+    def test_usage_pass_reads_each_in_edge_once(self, monkeypatch):
+        # one weight per in-edge of the index at most, and `_viterbi` only for
+        # the alternatives of the used prunable entries, none per training unit
+        log_probs, unit_counts, trie, index, _, exempt = first_pruning_round(False)
+        into = index[0]
+        weights = ReadCountingDict(_exact_weights(log_probs)[0])
+        _best_paths(into, weights)
+        assert 0 < weights.reads <= sum(map(len, into))
+
+        used = {p for unit in unit_counts for p in decode(unit, log_probs)[2]}
+        prunable = [p for p in log_probs if p not in exempt]
+        decoded = []
+
+        def counted(unit, *args):
+            decoded.append(unit)
+            return _viterbi(unit, *args)
+
+        monkeypatch.setattr(ulm, "_viterbi", counted)
+        _approximate_utilities(prunable, unit_counts, trie, index, log_probs)
+        assert decoded == [p for p in prunable if p in used]
+        assert len(decoded) > 300
 
     @pytest.mark.parametrize("seeded", [False, True], ids=["baseline", "morphseed"])
     def test_carried_index_matches_fresh_index(self, monkeypatch, seeded):
