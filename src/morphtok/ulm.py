@@ -400,15 +400,13 @@ def _seed_log_probs(unit_counts, cfg: UlmTrainerConfig, exempt) -> dict[str, flo
 
 
 def _best_paths(into, weights):
-    """The best path to every prefix id of a `_unit_index`, in `_viterbi`'s
-    order over the same `weights`: (total, back, last) per id, as `_viterbi`
-    keeps them per position, total None where no path reaches.
-
-    The best path to a prefix depends only on the prefix, and an in-edge
-    comes from a smaller id, so one pass in id order reads each in-edge
-    once, each prefix's in start order, as `_viterbi` relaxes the edges
-    into a position. Ids along one unit's chain grow with its positions,
-    so `_smaller_path` walks them as it walks positions."""
+    """Best path to every prefix id of a `_unit_index` over `weights`, in
+    `_viterbi`'s order: (total, back, last) per id as `_viterbi` keeps them
+    per position, total None where no path reaches. A best path depends
+    only on its prefix and an in-edge comes from a smaller id, so one pass
+    in id order reads each prefix's in-edges in start order, as `_viterbi`
+    relaxes a position's. Ids along a unit's chain grow with its positions,
+    so `_smaller_path` walks them alike."""
     n = len(into)
     count = [0] * n
     total: list[int | float | None] = [None] * n

@@ -475,7 +475,7 @@ def index_paths(units, log_probs, protected=frozenset(), boost=0.0):
 class TestIndexPaths:
     # every unit's path from the one pass over the index is the one `_viterbi`
     # finds; where the best sum is finite, also the one enumeration finds (on
-    # -inf paths `_viterbi` keeps the known gap to the oracle, which this pins)
+    # -inf paths `_viterbi` keeps a known gap to the oracle, so only it is asked)
 
     @given(ulm_instance())
     @example(ULP_PREFIX)
