@@ -13,7 +13,8 @@ An artifact is a human-readable text file:
 After kind and guidance, the header keys are the fields of the trainer
 config dataclass in declaration order (unigram artifacts add the decode
 ``boost`` last), so the dataclass is the one schema for header, loader
-and digest. Every key is required on load; ``config_digest`` must match.
+and digest. Every key is required on load, once, and no other is
+accepted; ``config_digest`` must match.
 
 WordPiece entries are bare pieces (continuations carry the literal "##"
 prefix). Unigram entries are ``piece<TAB>logprob<TAB>protected_flag``
@@ -108,20 +109,24 @@ def save_tokenizer(model, path) -> None:
 
 
 def load_tokenizer(path):
-    """Load an artifact back into a tokenizer; rejects other versions, a missing
-    header line and a config digest that does not match the loaded model."""
+    """Load an artifact back into a tokenizer; rejects other versions, a missing,
+    unknown or repeated header key and a config digest that does not match
+    the loaded model."""
     # no header line or entry is blank, so blank lines (as after the last "\n") are skipped
     lines = ((lineno, line) for lineno, line in iter_lines(path) if line)
     if next(lines, (1, ""))[1] != f"# {FORMAT_VERSION}":
         raise LoaderError(f"{path}: not a {FORMAT_VERSION!r} file")
     header: dict[str, str] = {}
+    header_lines: dict[str, int] = {}  # key -> its line number
     for lineno, line in lines:
         if line == SEPARATOR:
             break
         if not line.startswith("# "):
             raise loader_error(path, lineno, "malformed header line")
         key, _, value = line[2:].partition(" ")
-        header[key] = value
+        if key in header:
+            raise loader_error(path, lineno, f"repeated header key {key!r}")
+        header[key], header_lines[key] = value, lineno
     else:
         raise LoaderError(f"{path}: truncated artifact (missing {SEPARATOR!r} separator)")
     entries = list(lines)
@@ -135,6 +140,10 @@ def load_tokenizer(path):
         if kind not in CONFIG_CLASSES:
             raise LoaderError(f"{path}: unknown tokenizer kind {kind!r}")
         config_class = CONFIG_CLASSES[kind]
+        known = {"kind", "guidance", "config_digest", *(name for name, _, _ in config_fields(config_class))}
+        known |= {"boost"} if kind == "ulm" else set()
+        if unknown := [key for key in header if key not in known]:
+            raise loader_error(path, header_lines[unknown[0]], f"unknown header key {unknown[0]!r}")
         cfg = config_class(
             **{name: _DECODE[typ](header[name]) for name, typ, _ in config_fields(config_class)}
         )

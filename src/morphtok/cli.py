@@ -238,8 +238,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_presegment(args) -> int:
-    delimiter = args.morph_delimiter or DEFAULT_DELIMITER
-    delimiter = _parse_option("morph_delimiter", delimiter, "--morph-delimiter")
+    delimiter = _parse_option("morph_delimiter", args.morph_delimiter, "--morph-delimiter")
     lexicon = _load_checked_lexicon(args.lexicon, delimiter)
     reads = MODE_INPUTS[args.mode]
     mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping and "pos_mapping" in reads else None
@@ -400,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_preseg.add_argument("--tagged-corpus")
     p_preseg.add_argument("--lexicon", required=True)
     p_preseg.add_argument("--pos-mapping")
-    p_preseg.add_argument("--morph-delimiter", default=None)
+    p_preseg.add_argument("--morph-delimiter", default=DEFAULT_DELIMITER)
     p_preseg.add_argument("--lowercase", action="store_true")
     p_preseg.add_argument("--output", default="-")
     p_preseg.add_argument("--stats-output", help="write machine-readable stats here")

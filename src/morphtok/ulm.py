@@ -12,18 +12,19 @@ are protected from pruning and can carry a decode-time log-prob boost;
 single characters are never pruned so every training word stays
 segmentable.
 
-`_viterbi` walks the vocabulary's prefix trie (`corpus.prefix_trie`)
-and scores each piece as it finds it, for decoding and for the best
-alternative of an entry approximate pruning would drop. EM reads each
-edge more than once, through one index of the training units
-(`_unit_index`): a forward value depends only on a unit's prefix and a
-backward value only on its suffix, so each distinct prefix and suffix is
-scored once per step, and training keeps the index across pruning
-rounds. Exact pruning reads the same index: the forward value of a
-prefix without one entry also depends only on the prefix, so it is
-scored once per entry, and `_prefix_forward` serves both. So does the
-usage count of approximate pruning: a best path, too, depends only on
-the prefix, and `_best_paths` finds every prefix's in one pass.
+`_viterbi` walks the prefix trie of a `UlmVocabulary`, the one home of
+its trie, depth and exact weights, for decoding and for the best
+alternative of an entry approximate pruning would drop: pruning reads
+the round's `UlmVocabulary`. EM reads each edge more than once, through
+one index of the training units (`_unit_index`): a forward value depends
+only on a unit's prefix and a backward value only on its suffix, so each
+distinct prefix and suffix is scored once per step, by one recurrence,
+and training keeps the index across pruning rounds. Exact pruning reads
+the same index: the forward value of a prefix without one entry also
+depends only on the prefix, so it is scored once per entry, and
+`_prefix_forward` serves both. So does the usage count of approximate
+pruning: a best path, too, depends only on the prefix, and `_best_paths`
+finds every prefix's in one pass.
 
 Paths rank by the exact sum of their edge weights, then by fewer pieces,
 then by the smaller piece sequence; a -inf entry makes the sum -inf.
@@ -39,6 +40,7 @@ piece ever spans a morpheme boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -66,6 +68,8 @@ class UlmTrainerConfig:
     def __post_init__(self):
         if self.morph_delimiter is not None:
             check_delimiter(self.morph_delimiter)
+        if not math.isfinite(self.seed_weight):
+            raise ValueError(f"seed_weight must be finite, got {self.seed_weight}")
 
 
 @dataclass
@@ -79,9 +83,6 @@ class UlmVocabulary:
     log_probs: dict[str, float]
     protected: frozenset[str] = frozenset()
     boost: float = 0.0
-    _trie: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _weights: tuple[dict, int] | None = field(default=None, init=False, repr=False, compare=False)
-    _depth: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __contains__(self, piece: str) -> bool:
         return piece in self.log_probs
@@ -89,23 +90,20 @@ class UlmVocabulary:
     def __len__(self) -> int:
         return len(self.log_probs)
 
+    @functools.cached_property
     def trie(self) -> dict:
         """Prefix trie of the entries (see :func:`morphtok.corpus.prefix_trie`)."""
-        if self._trie is None:
-            self._trie = prefix_trie(self.log_probs)
-        return self._trie
+        return prefix_trie(self.log_probs)
 
+    @functools.cached_property
     def depth(self) -> int:
-        """Length of the longest entry, which bounds every walk of `trie()`."""
-        if self._depth is None:
-            self._depth = max(map(len, self.log_probs), default=0)
-        return self._depth
+        """Length of the longest entry, which bounds every walk of `trie`."""
+        return max(map(len, self.log_probs), default=0)
 
-    def weights(self) -> tuple[dict[str, int | None], int]:
-        """Exact decode-time edge weights and their scale (see `_exact_weights`)."""
-        if self._weights is None:
-            self._weights = _exact_weights(self.log_probs, self.protected, self.boost)
-        return self._weights
+    @functools.cached_property
+    def weights(self) -> dict[str, int | None]:
+        """Exact decode-time edge weights over one power-of-two scale (see `_exact_weights`)."""
+        return _exact_weights(self.log_probs, self.protected, self.boost)[0]
 
 
 def _logsumexp(values: list[float]) -> float:
@@ -213,19 +211,18 @@ def _smaller_path(u, pu, v, pv, back, last):
     return pu < pv
 
 
-def _viterbi(unit, trie, depth, weights, scale):
-    """Best (score, piece_count, pieces) over the unit's segmentations, or
-    None. From each reachable position it walks `trie` at most `depth`
-    characters deep, the longest entry, and relaxes each edge it finds.
+def _viterbi(unit, trie, depth, weights):
+    """The pieces of the unit's best segmentation, or None. From each
+    reachable position it walks `trie` at most `depth` characters deep,
+    the longest entry, and relaxes each edge it finds.
 
     Paths rank by the exact sum of their edge weights, then by fewer
     pieces, then by the smaller piece sequence. Each node keeps its best
-    path's sum as an integer over `scale` (see `_exact_weights`), NEG_INF
+    path's sum as an integer over one scale (see `_exact_weights`), NEG_INF
     past a -inf edge; unlike a rounded sum, it keeps its order when two
     paths gain one edge, so one path per node finds the best on finite
-    weights. The score is the sum correctly rounded, as math.fsum gives.
-    With a back-pointer per node an edge costs O(1) outside exact ties of
-    sum and count, which `_smaller_path` decides.
+    weights. With a back-pointer per node an edge costs O(1) outside exact
+    ties of sum and count, which `_smaller_path` decides.
     """
     n = len(unit)
     count = [0] * (n + 1)
@@ -257,8 +254,7 @@ def _viterbi(unit, trie, depth, weights, scale):
                 if c == count[j] and not _smaller_path(i, piece, back[j], last[j], back, last):
                     continue  # exact tie: the smaller piece sequence wins
             count[j], total[j], back[j], last[j] = c, t, i, piece
-    t = total[n]
-    if t is None:
+    if total[n] is None:
         return None
     pieces = []
     j = n
@@ -266,21 +262,20 @@ def _viterbi(unit, trie, depth, weights, scale):
         pieces.append(last[j])
         j = back[j]
     pieces.reverse()
-    return NEG_INF if t == NEG_INF else t / scale, count[n], pieces
+    return pieces
 
 
 def ulm_encode(word: str, vocab: UlmVocabulary, morph_delimiter: str | None = None) -> list[str]:
     """Viterbi-decode a word; any unreachable position maps the whole word
     to the unknown token. Protected entries receive the vocabulary's
     boost on their edges."""
-    trie, depth = vocab.trie(), vocab.depth()
-    weights, scale = vocab.weights()
+    trie, depth, weights = vocab.trie, vocab.depth, vocab.weights
     pieces: list[str] = []
     for seg in morph_segments(word, morph_delimiter, "encode"):
-        res = _viterbi(seg, trie, depth, weights, scale)
-        if res is None:
+        best = _viterbi(seg, trie, depth, weights)
+        if best is None:
             return [UNK_TOKEN]
-        pieces.extend(res[2])
+        pieces.extend(best)
     return pieces
 
 
@@ -292,7 +287,8 @@ def _prefix_forward(edges, alpha, log_probs, without=None):
 
 
 def _forward_values(into, log_probs):
-    """Forward value of every prefix id of a `_unit_index`, id 0 the empty prefix."""
+    """Forward value of every prefix id of a `_unit_index`, id 0 the empty
+    prefix; over its `out` in place of `into`, the backward value of every suffix id."""
     alpha = [0.0]
     for edges in into[1:]:
         alpha.append(_prefix_forward(edges, alpha, log_probs))
@@ -314,10 +310,7 @@ def _expected_counts(unit_counts, log_probs, index=None):
         index = _unit_index(unit_counts, prefix_trie(log_probs))
     into, out, positions = index
     alpha = _forward_values(into, log_probs)
-    beta = [0.0]
-    for edges in out[1:]:
-        vals = [log_probs[p] + beta[t] for p, t in edges if beta[t] != NEG_INF]
-        beta.append(_logsumexp(vals) if vals else NEG_INF)
+    beta = _forward_values(out, log_probs)
     counts = {p: 0.0 for p in log_probs}
     ll = 0.0
     unk: list[str] = []
@@ -433,17 +426,17 @@ def _best_paths(into, weights):
     return total, back, last
 
 
-def _approximate_utilities(prunable, unit_counts, trie, index, log_probs):
+def _approximate_utilities(prunable, unit_counts, vocab, index):
     """Likelihood loss if an entry is removed, under current Viterbi segmentations.
 
-    usage(p) * (logprob(p) - best alternative for p's string); unused
-    entries cost nothing to remove. `trie` and `index` (see `_unit_index`)
-    hold the entries of `log_probs`. Usage comes from `_best_paths` over
-    the index: each unit's frequency is pushed back from its final prefix
-    id along the back-pointers, in reverse id order. Only the alternative
-    of a used entry, whose string the index lacks, is decoded by `_viterbi`.
+    usage(p) * (logprob(p) - the fsum of p's best alternative); unused entries
+    cost nothing to remove. `index` (see `_unit_index`) holds the entries of
+    `vocab`, an unboosted `UlmVocabulary`. Usage comes from `_best_paths`:
+    each unit's frequency is pushed back from its final prefix id along the
+    back-pointers, in reverse id order. Only the alternative of a used
+    entry, whose string the index lacks, is decoded by `_viterbi`.
     """
-    weights, scale = _exact_weights(log_probs)
+    log_probs, weights, trie = vocab.log_probs, vocab.weights, vocab.trie
     into, _, positions = index
     total, back, last = _best_paths(into, weights)
     through = [0] * len(into)  # frequency of the units whose best path runs through each prefix id
@@ -455,7 +448,6 @@ def _approximate_utilities(prunable, unit_counts, trie, index, log_probs):
         if f and total[q] is not None:
             usage[last[q]] += f
             through[back[q]] += f
-    depth = max(map(len, log_probs))
     utilities = {}
     for p in prunable:
         f = usage.get(p, 0)
@@ -466,9 +458,9 @@ def _approximate_utilities(prunable, unit_counts, trie, index, log_probs):
         for ch in p:
             node = node[ch]
         del node[""]  # p's own edge, out of the trie while p is decoded
-        alt = _viterbi(p, trie, depth, weights, scale)
+        alt = _viterbi(p, trie, vocab.depth, weights)
         node[""] = p
-        utilities[p] = math.inf if alt is None else f * (log_probs[p] - alt[0])
+        utilities[p] = math.inf if alt is None else f * (log_probs[p] - math.fsum(log_probs[q] for q in alt))
     return utilities
 
 
@@ -507,18 +499,19 @@ def _exact_utilities(prunable, unit_counts, index, log_probs):
     return utilities
 
 
-def _prune(log_probs, unit_counts, trie, index, cfg: UlmTrainerConfig, exempt):
-    """Drop the least useful non-exempt entries; called only while `log_probs`
-    holds more than cfg.vocab_size entries, all of `exempt` among them. Exact
-    pruning reads `index`, approximate pruning `index` and `trie`, all of
-    `log_probs`."""
+def _prune(vocab, unit_counts, index, cfg: UlmTrainerConfig, exempt):
+    """The log-probs of `vocab`, an unboosted `UlmVocabulary`, less their least
+    useful non-exempt entries; called only while it holds more than
+    cfg.vocab_size entries, all of `exempt` among them. `index` holds its
+    entries; approximate pruning reads `vocab.trie` too."""
+    log_probs = vocab.log_probs
     overshoot = len(log_probs) - cfg.vocab_size
     prunable = [p for p in log_probs if p not in exempt]
     k = max(1, min(int(len(prunable) * (1 - cfg.shrinking_factor)), overshoot))
     if cfg.exact_pruning:
         utilities = _exact_utilities(prunable, unit_counts, index, log_probs)
     else:
-        utilities = _approximate_utilities(prunable, unit_counts, trie, index, log_probs)
+        utilities = _approximate_utilities(prunable, unit_counts, vocab, index)
     drop = set(sorted(prunable, key=lambda p: (utilities[p], p))[:k])
     return {p: lp for p, lp in log_probs.items() if p not in drop}
 
@@ -543,15 +536,13 @@ def ulm_train(corpus: Corpus, cfg: UlmTrainerConfig) -> UlmVocabulary:
         )
 
     log_probs = _seed_log_probs(unit_counts, cfg, exempt)
-    trie = prefix_trie(log_probs)
-    index = _unit_index(unit_counts, trie)
-    while True:  # EM keeps every key, so the round's trie and index fit all its steps
+    index = _unit_index(unit_counts, prefix_trie(log_probs))
+    while True:  # EM keeps every key, so the round's index fits all its steps
         for _ in range(cfg.em_iterations_per_round):
             log_probs, _, _ = _em_step_units(unit_counts, log_probs, index)
         if len(log_probs) <= cfg.vocab_size:
             break
-        log_probs = _prune(log_probs, unit_counts, trie, index, cfg, exempt)
-        trie = prefix_trie(log_probs)
+        log_probs = _prune(UlmVocabulary(log_probs), unit_counts, index, cfg, exempt)
         for edges in index[0] + index[1]:  # the pruned entries' edges leave the index
             edges[:] = [e for e in edges if e[0] in log_probs]
 

@@ -37,6 +37,7 @@ vocabulary (`corpus.prefix_trie`), one character at a time.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -63,7 +64,6 @@ class WpTrainerConfig:
 @dataclass
 class WpVocabulary:
     entries: set[str] = field(default_factory=set)
-    _tries: tuple[dict, dict] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __contains__(self, piece: str) -> bool:
         return piece in self.entries
@@ -71,17 +71,16 @@ class WpVocabulary:
     def __len__(self) -> int:
         return len(self.entries)
 
+    @functools.cached_property
     def tries(self) -> tuple[dict, dict]:
         """Prefix tries for the word-initial position and for later ones ("##"
         entries keyed by body). A word may start with "##", so the first
         trie holds the second under "##" too."""
-        if self._tries is None:
-            continuation = prefix_trie(self.entries, CONTINUATION_PREFIX)
-            initial = prefix_trie(e for e in self.entries if not e.startswith(CONTINUATION_PREFIX))
-            first, second = CONTINUATION_PREFIX
-            initial.setdefault(first, {})[second] = continuation
-            self._tries = (initial, continuation)
-        return self._tries
+        continuation = prefix_trie(self.entries, CONTINUATION_PREFIX)
+        initial = prefix_trie(e for e in self.entries if not e.startswith(CONTINUATION_PREFIX))
+        first, second = CONTINUATION_PREFIX
+        initial.setdefault(first, {})[second] = continuation
+        return initial, continuation
 
 
 def _word_units(word: str, freq: int, delimiter: str | None):
@@ -240,7 +239,7 @@ def wp_encode(word: str, vocab: WpVocabulary, morph_delimiter: str | None = None
         if whole in vocab.entries:  # its own longest match: one probe, no walk
             pieces.append(whole)
             continue
-        initial, continuation = vocab.tries()  # built on the first walk
+        initial, continuation = vocab.tries  # built on the first walk
         n = len(seg)
         i = 0
         while i < n:

@@ -195,6 +195,27 @@ class TestValidation:
         assert cli.main(["encode", "--artifact", str(path), "--input", str(words)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("golden", ["wp.tok", "ulm.tok"])
+    def test_unknown_or_repeated_header_key_rejected(self, tmp_path, capsys, golden):
+        # neither may load: an unknown key would be ignored, and a repeated
+        # key's later value would win, here with the config digest still
+        # matching; only a unigram artifact knows `boost`
+        text = (GOLDEN / golden).read_text(encoding="utf-8")
+        size_line = next(line for line in text.splitlines(keepends=True) if line.startswith("# vocab_size "))
+        at = text.index("# config_digest ")
+        lineno = text.count("\n", 0, at) + 1  # the inserted line
+        path, words = tmp_path / golden, tmp_path / "words.txt"
+        words.write_text("amat\n", encoding="utf-8")
+        boost = "repeated header key 'boost'" if golden == "ulm.tok" else "unknown header key 'boost'"
+        for inserted, problem in (("# bogus_key 7\n", "unknown header key 'bogus_key'"),
+                                  (size_line, "repeated header key 'vocab_size'"), ("# boost 0.5\n", boost)):
+            path.write_text(text[:at] + inserted + text[at:], encoding="utf-8")
+            message = f":{lineno}: {problem}"
+            with pytest.raises(LoaderError, match=message):
+                load_tokenizer(path)
+            assert cli.main(["encode", "--artifact", str(path), "--input", str(words)]) == 2
+            assert message in capsys.readouterr().err
+
     def test_missing_config_key_rejected(self, tmp_path):
         path = tmp_path / "a.tok"
         save_tokenizer(ulm_model(), path)

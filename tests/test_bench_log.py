@@ -116,6 +116,24 @@ def test_summary_counts_wins_over_pairs_sharing_a_seed(tmp_path):
     assert not rss.endswith("gain")
 
 
+def test_summary_marks_worse_past_the_bound(tmp_path):
+    # BENCHMARK.json bounds pipeline_s and ulm_encode_wps at 25% of the
+    # parent's median and peak_rss_mib at 10%, whichever way is worse
+    parent = {"pipeline_s": 2.0, "setup_s": 1.0, "ulm_encode_wps": 1000.0, "peak_rss_mib": 70.0}
+    for change, marks in (
+        ({"pipeline_s": 2.4, "setup_s": 0.5, "ulm_encode_wps": 800.0, "peak_rss_mib": 75.0},
+         ["", "gain", "", ""]),  # within each bound; a gain is never worse
+        ({"pipeline_s": 2.6, "setup_s": 1.3, "ulm_encode_wps": 700.0, "peak_rss_mib": 78.0},
+         ["worse"] * 4),
+    ):
+        write_log(tmp_path, [log_entry(label, commit, s, **metrics) for s in range(1, 11)
+                             for label, commit, metrics in (("parent", "p1", parent), ("change", "c1", change))])
+        lines = bench_log.summary("zipf-train", tmp_path)
+        start = lines.index("change c1 over parent p1: 10 pairs sharing a seed")
+        assert [line.rpartition("  ")[2] if line.endswith(("gain", "worse")) else ""
+                for line in lines[start + 1:start + 5]] == marks
+
+
 def test_summary_command_line(tmp_path, capsys):
     write_log(tmp_path, [log_entry("parent", "aaaa1111", 1, pipeline_s=2.0)])
     assert bench_log.main(["--summary", "zipf-train", "--out-dir", str(tmp_path)]) == 0

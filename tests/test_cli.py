@@ -288,6 +288,14 @@ class TestTrain:
         assert f"{cfg}:1: " in capsys.readouterr().err  # a bad value, or none once stripped
         assert not (files["dir"] / "wp.tok").exists()
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_seed_weight_rejected(self, files, capsys, weight):
+        # the artifact's own `encode` would refuse its boost; "=" lets "-inf" be a value
+        out = files["dir"] / "ulm.tok"
+        assert cli.main(train_args(files, str(out), "ulm", "morphseed", f"--seed-weight={weight}")) == 2
+        assert f"seed_weight must be finite, got {float(weight)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lexicon_without_usable_rows_is_input_error(self, files, capsys):
         lexicon = files["dir"] / "broken.tsv"
         lexicon.write_text(LEXICON.replace("\t1\t", "\t"), encoding="utf-8")
@@ -388,6 +396,20 @@ class TestPresegment:
         )
         assert code == 2
         assert "--morph-delimiter: bad value" in capsys.readouterr().err
+
+    def test_empty_delimiter_rejected(self, files, capsys):
+        # as `train` rejects it, rather than falling back to "@"
+        out = files["dir"] / "x.txt"
+        code = cli.main(
+            ["presegment", "--mode", "acontextual", "--corpus", files["corpus"],
+             "--lexicon", files["lexicon"], "--morph-delimiter", "", "--output", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --morph-delimiter: bad value for 'morph_delimiter': morph delimiter must be "
+            "one character other than '\\' and whitespace, got ''\n"
+        )
+        assert not out.exists()
 
     def test_contextual(self, files):
         out = files["dir"] / "preseg.txt"

@@ -49,10 +49,19 @@ UNK = "[UNK]"
 MINI = Path(__file__).resolve().parent.parent / "data" / "mini-latin"
 
 
+def scored(pieces, log_probs, protected=frozenset(), boost=0.0):
+    """(score, piece_count, pieces) of a path, or None: the score is the
+    correctly rounded exact sum of its decode-time log-probs."""
+    if pieces is None:
+        return None
+    weights = [log_probs[p] + boost if boost and p in protected else log_probs[p] for p in pieces]
+    return math.fsum(weights), len(pieces), pieces
+
+
 def decode(word, log_probs, protected=frozenset(), boost=0.0):
-    """`_viterbi` over a fresh trie of `log_probs`, as `ulm_encode` calls it."""
+    """`_viterbi` over a fresh trie of `log_probs`, as `ulm_encode` calls it, scored."""
     vocab = UlmVocabulary(log_probs, protected, boost)
-    return _viterbi(word, vocab.trie(), vocab.depth(), *vocab.weights())
+    return scored(_viterbi(word, vocab.trie, vocab.depth, vocab.weights), log_probs, protected, boost)
 
 
 def vocab_from(probs, protected=(), boost=0.0):
@@ -114,6 +123,21 @@ class TestViterbi:
     def test_empty_word_is_error(self):
         with pytest.raises(ValueError):
             ulm_encode("", vocab_from({"a": 1.0}))
+
+
+class TestVocabularyTables:
+    def test_built_once_and_left_out_of_comparison(self, monkeypatch):
+        tries = []
+        monkeypatch.setattr(ulm, "prefix_trie", lambda entries: tries.append(1) or prefix_trie(entries))
+        log_probs, protected = {"a": -1.0, "ab": -0.5, "b": -2.0}, frozenset({"b"})
+        vocab = UlmVocabulary(log_probs, protected, 0.5)
+        assert ulm_encode("abab", vocab) == ["ab", "ab"]
+        assert ulm_encode("ba", vocab) == ["b", "a"]
+        assert len(tries) == 1
+        assert vocab.depth == 2
+        assert vocab.weights == _exact_weights(log_probs, protected, 0.5)[0]
+        assert vocab == UlmVocabulary(dict(log_probs), protected, 0.5)  # whose tables are not built
+        assert "trie" not in repr(vocab)
 
 
 class TestBoost:
@@ -220,11 +244,13 @@ class TestViterbiOracle:
         assert decode(word, log_probs, protected, boost) == expected
 
     def test_exact_sum_is_fsum(self):
-        # left to right, -0.1 + -0.7 + -1.1 rounds twice; the exact sum once
-        log_probs = {"a": -0.1, "b": -0.7, "c": -1.1}
-        score, count, pieces = decode("abc", log_probs)
-        assert score == math.fsum([-0.1, -0.7, -1.1]) != (-0.1 + -0.7) + -1.1
-        assert (count, pieces) == (3, ["a", "b", "c"])
+        # pruning scores the alternative (a, b, c) of "abc" by its exact sum,
+        # rounded once; left to right, -0.1 + -0.7 + -1.1 rounds twice
+        log_probs = {"a": -0.1, "abc": -1.0, "b": -0.7, "c": -1.1}
+        index = _unit_index({"abc": 1}, prefix_trie(log_probs))
+        got = _approximate_utilities(["abc"], {"abc": 1}, UlmVocabulary(log_probs), index)
+        assert got == {"abc": -1.0 - math.fsum([-0.1, -0.7, -1.1])}
+        assert got["abc"] != -1.0 - ((-0.1 + -0.7) + -1.1)
 
 
 class TestExactWeights:
@@ -295,8 +321,8 @@ class TestDecodeWork:
         steps = [0]
         monkeypatch.setattr(ulm, "prefix_trie", lambda *args: counting(prefix_trie(*args), steps))
         vocab = UlmVocabulary(mini_vocab.log_probs, mini_vocab.protected, mini_vocab.boost)
-        depth = vocab.depth()
-        assert trie_depth(vocab.trie()) == depth == 10
+        depth = vocab.depth
+        assert trie_depth(vocab.trie) == depth == 10
         word = ReadCountingStr(live_word(vocab, n, random.Random(n)))
         pieces = ulm_encode(word, vocab)
         assert "".join(pieces) == word
@@ -454,10 +480,10 @@ class TestExactUtilities:
 def index_paths(units, log_probs, protected=frozenset(), boost=0.0):
     """Each unit's best (score, piece_count, pieces) from `_best_paths` over the
     units' index, read back from its final prefix id, or None; and the same
-    from `_viterbi`, in the unit order of `units`."""
+    from `_viterbi`, scored, in the unit order of `units`."""
     weights, scale = _exact_weights(log_probs, protected, boost)
-    trie = prefix_trie(log_probs)
-    into, _, positions = _unit_index(units, trie)
+    vocab = UlmVocabulary(log_probs, protected, boost)
+    into, _, positions = _unit_index(units, vocab.trie)
     total, back, last = _best_paths(into, weights)
     got, decoded = [], []
     for unit, (pids, _) in zip(units, positions):
@@ -468,7 +494,7 @@ def index_paths(units, log_probs, protected=frozenset(), boost=0.0):
             pieces.append(last[q])
             q = back[q]
         got.append(None if t is None else (-math.inf if t == -math.inf else t / scale, len(pieces), pieces[::-1]))
-        decoded.append(_viterbi(unit, trie, max(map(len, log_probs)), weights, scale))
+        decoded.append(scored(_viterbi(unit, vocab.trie, vocab.depth, weights), log_probs, protected, boost))
     return got, decoded
 
 
@@ -519,9 +545,8 @@ class TestIndexPaths:
         # usage pushed back along the index's back-pointers is the per-unit
         # decode's; a -inf entry whose alternative is -inf has utility nan
         log_probs, unit_counts = case
-        trie = prefix_trie(log_probs)
-        index = _unit_index(unit_counts, trie)
-        got = _approximate_utilities(list(log_probs), unit_counts, trie, index, log_probs)
+        index = _unit_index(unit_counts, prefix_trie(log_probs))
+        got = _approximate_utilities(list(log_probs), unit_counts, UlmVocabulary(log_probs), index)
         expected = approximate_utilities_oracle(list(log_probs), unit_counts,
                                                 lambda text: lattice_oracle(text, log_probs),
                                                 *_exact_weights(log_probs), log_probs)
@@ -586,7 +611,7 @@ class FirstPrune(Exception):
 
 def first_pruning_round(seeded):
     """The arguments of the first pruning round of mini-latin at vocab 1200:
-    (log_probs, unit_counts, trie, index, cfg, exempt)."""
+    (vocab, unit_counts, index, cfg, exempt)."""
     def stop(*args):
         raise FirstPrune(*args)
 
@@ -613,15 +638,16 @@ class TestPruning:
         # the first pruning round of mini-latin at vocab 1200; under morphseed
         # the seeded suffixes are exempt (their boost applies only to encode);
         # exact utilities must match their lattice oracle there too
-        log_probs, unit_counts, trie, index, _, exempt = first_pruning_round(seeded)
+        vocab, unit_counts, index, _, exempt = first_pruning_round(seeded)
+        log_probs = vocab.log_probs
         prunable = [p for p in log_probs if p not in exempt]
 
         expected = approximate_utilities_oracle(prunable, unit_counts, lambda text: lattice_oracle(text, log_probs),
                                                 *_exact_weights(log_probs), log_probs)
-        got = _approximate_utilities(prunable, unit_counts, trie, index, log_probs)
+        got = _approximate_utilities(prunable, unit_counts, vocab, index)
         assert got == expected
         assert sum(u != 0 for u in got.values()) > 300  # entries in use, whose alternatives were decoded
-        assert trie == prefix_trie(log_probs)  # every entry is back in the trie
+        assert vocab.trie == prefix_trie(log_probs)  # every entry is back in the trie
 
         exact = _exact_utilities(prunable, unit_counts, index, log_probs)
         assert exact == exact_utilities_oracle(prunable, unit_counts, log_probs)
@@ -630,8 +656,8 @@ class TestPruning:
     def test_usage_pass_reads_each_in_edge_once(self, monkeypatch):
         # one weight per in-edge of the index at most, and `_viterbi` only for
         # the alternatives of the used prunable entries, none per training unit
-        log_probs, unit_counts, trie, index, _, exempt = first_pruning_round(False)
-        into = index[0]
+        vocab, unit_counts, index, _, exempt = first_pruning_round(False)
+        log_probs, into = vocab.log_probs, index[0]
         weights = ReadCountingDict(_exact_weights(log_probs)[0])
         _best_paths(into, weights)
         assert 0 < weights.reads <= sum(map(len, into))
@@ -645,9 +671,22 @@ class TestPruning:
             return _viterbi(unit, *args)
 
         monkeypatch.setattr(ulm, "_viterbi", counted)
-        _approximate_utilities(prunable, unit_counts, trie, index, log_probs)
+        _approximate_utilities(prunable, unit_counts, vocab, index)
         assert decoded == [p for p in prunable if p in used]
         assert len(decoded) > 300
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["approximate", "exact"])
+    def test_one_trie_per_vocabulary_read(self, monkeypatch, exact):
+        # the index build reads a trie of the seed vocabulary, and approximate
+        # pruning the trie of each round's vocabulary; exact pruning reads
+        # only the index, so no trie is built after seeding
+        tries, rounds = [], []
+        prune = ulm._prune
+        monkeypatch.setattr(ulm, "prefix_trie", lambda entries: tries.append(1) or prefix_trie(entries))
+        monkeypatch.setattr(ulm, "_prune", lambda *args: rounds.append(1) or prune(*args))
+        ulm_train(load_corpus(MINI / "corpus.txt"), replace(MINI_ULM, exact_pruning=exact))
+        assert len(rounds) == 3
+        assert len(tries) == (1 if exact else 1 + len(rounds))
 
     @pytest.mark.parametrize("seeded", [False, True], ids=["baseline", "morphseed"])
     def test_carried_index_matches_fresh_index(self, monkeypatch, seeded):
@@ -675,9 +714,9 @@ class TestIndexWork:
         # one training word of n characters: the index walks the vocabulary
         # trie at most `depth` characters deep from each position
         steps = [0]
-        depth = mini_vocab.depth()
+        depth = mini_vocab.depth
         word = live_word(mini_vocab, n, random.Random(n))
-        into, out, positions = _unit_index({word: 1}, counting(mini_vocab.trie(), steps))
+        into, out, positions = _unit_index({word: 1}, counting(mini_vocab.trie, steps))
         assert positions == [(list(range(n + 1)), list(range(n, -1, -1)))]
         assert len(into) == len(out) == n + 1
         assert 0 < steps[0] <= n * (depth + 1)
@@ -685,7 +724,7 @@ class TestIndexWork:
     def test_memory_per_character_stays_flat(self, mini_vocab):
         # an index keyed by each prefix and suffix string would hold
         # characters in proportion to the word's length squared
-        trie = mini_vocab.trie()
+        trie = mini_vocab.trie
         rng = random.Random(0)
         per_char = {}
         for n in (1000, 2000, 4000):

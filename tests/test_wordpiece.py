@@ -298,7 +298,7 @@ class TestLongWords:
         steps = [0]
         monkeypatch.setattr(wordpiece, "prefix_trie", lambda *args: counting(prefix_trie(*args), steps))
         vocab = WpVocabulary(entries=entries)
-        initial, continuation = vocab.tries()
+        initial, continuation = vocab.tries
         depth = 6
         assert trie_depth(continuation) == depth
         assert trie_depth(initial["a"]) < depth and trie_depth(initial["b"]) < depth
@@ -309,7 +309,7 @@ class TestLongWords:
         assert "".join(strip_markers(pieces)) == word
 
     def test_continuation_entries_keyed_by_body(self):
-        initial, continuation = WpVocabulary(entries={"[UNK]", "ab", "##abc"}).tries()
+        initial, continuation = WpVocabulary(entries={"[UNK]", "ab", "##abc"}).tries
         assert continuation == {"a": {"b": {"c": {"": "##abc"}}}}
         # the word-initial trie holds every entry under its full text
         assert initial["a"]["b"][""] == "ab"

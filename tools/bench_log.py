@@ -20,7 +20,9 @@ spread of the parent's runs, the distance between their quartiles
 (`statistics.quantiles(values, n=4)`, as `perfbench/README.md` takes it).
 A metric is marked `gain` when there are at least ten pairs, the change
 won at least nine in ten of them and its median moved the better way by
-more than that spread.
+more than that spread. It is marked `worse` when the change's median is
+worse than the parent's by more than the metric's `bound` in
+`BENCHMARK.json`, taken as a fraction of the parent's median.
 """
 
 import argparse
@@ -100,9 +102,10 @@ def summary(workload: str, log_dir: Path = ROOT) -> list[str]:
             moved = f" ({change_median / parent_median - 1:+.1%})" if parent_median else ""
             moved_past_spread = sign * (change_median - parent_median) > q3 - q1
             gain = len(both) >= 10 and wins >= 0.9 * len(both) and moved_past_spread
+            worse = "bound" in m and sign * (change_median - parent_median) < -m["bound"] * abs(parent_median)
             lines.append(f"  {name:<15} won {wins}/{len(both)}: {_fmt(parent_median)} -> "
                          f"{_fmt(change_median)} {m['unit']}{moved}, parent spread {_fmt(q3 - q1)}"
-                         + ("  gain" if gain else ""))
+                         + ("  gain" if gain else "  worse" if worse else ""))
     return lines
 
 
