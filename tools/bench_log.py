@@ -102,7 +102,7 @@ def summary(workload: str, log_dir: Path = ROOT) -> list[str]:
             moved = f" ({change_median / parent_median - 1:+.1%})" if parent_median else ""
             moved_past_spread = sign * (change_median - parent_median) > q3 - q1
             gain = len(both) >= 10 and wins >= 0.9 * len(both) and moved_past_spread
-            worse = "bound" in m and sign * (change_median - parent_median) < -m["bound"] * abs(parent_median)
+            worse = sign * (change_median - parent_median) < -m["bound"] * abs(parent_median)
             lines.append(f"  {name:<15} won {wins}/{len(both)}: {_fmt(parent_median)} -> "
                          f"{_fmt(change_median)} {m['unit']}{moved}, parent spread {_fmt(q3 - q1)}"
                          + ("  gain" if gain else "  worse" if worse else ""))
