@@ -21,7 +21,7 @@ prefix). Unigram entries are ``piece<TAB>logprob<TAB>protected_flag``
 with ``repr`` floats, so probabilities reload bit-exactly. Every
 non-blank line after the ``# ---`` separator is an entry, so entries
 never need escaping (words cannot contain whitespace, hence no entry
-can start with "# ").
+can start with "# "). No piece is listed twice.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def save_tokenizer(model, path) -> None:
 
 def load_tokenizer(path):
     """Load an artifact back into a tokenizer; rejects other versions, a missing,
-    unknown or repeated header key and a config digest that does not match
-    the loaded model."""
+    unknown or repeated header key, a repeated piece and a config digest that
+    does not match the loaded model."""
     # no header line or entry is blank, so blank lines (as after the last "\n") are skipped
     lines = ((lineno, line) for lineno, line in iter_lines(path) if line)
     if next(lines, (1, ""))[1] != f"# {FORMAT_VERSION}":
@@ -148,7 +148,11 @@ def load_tokenizer(path):
             **{name: _DECODE[typ](header[name]) for name, typ, _ in config_fields(config_class)}
         )
         if kind == "wordpiece":
-            model = WordPieceTokenizer(WpVocabulary({line for _, line in entries}), cfg, guidance)
+            first_line: dict[str, int] = {}
+            for lineno, piece in entries:
+                if first_line.setdefault(piece, lineno) != lineno:
+                    raise loader_error(path, lineno, f"repeated piece {piece!r}")
+            model = WordPieceTokenizer(WpVocabulary(set(first_line)), cfg, guidance)
         else:
             log_probs: dict[str, float] = {}
             protected = set()

@@ -100,6 +100,8 @@ def _load_config_file(path) -> dict:
             raise LoaderError(f"{path}:{lineno}: unknown config key {key!r}")
         if not value:
             raise LoaderError(f"{path}:{lineno}: missing value for {key!r}")
+        if key in values:  # vocab_size and vocab-size alike
+            raise LoaderError(f"{path}:{lineno}: repeated config key {key!r}")
         values[key] = _parse_option(key, value, f"{path}:{lineno}")
     return values
 
@@ -186,6 +188,8 @@ def cmd_train(args) -> int:
     lexicon = _load_checked_lexicon(args.lexicon, delimiter) if "lexicon" in reads else None
     mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping and "pos_mapping" in reads else None
     suffixes = load_suffixes(args.suffixes) if "suffixes" in reads else None
+    if "suffixes" in reads and not suffixes:  # else morphseed trains the baseline under its name
+        raise LoaderError(f"{args.suffixes}: no suffix, only blank or comment lines")
 
     corpus_path, n_input_sentences, training = _presegmented_input(
         args, mode, lexicon, mapping, delimiter, opt["lowercase"], opt["sample_fraction"], opt["seed"]

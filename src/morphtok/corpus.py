@@ -77,18 +77,15 @@ def morph_segments(word: str, delimiter: str | None, task: str) -> list[str]:
     return segments
 
 
-def prefix_trie(entries, prefix: str = "") -> dict:
-    """Prefix trie of the entries that start with `prefix`, keyed by the rest:
-    nested dicts keyed by character; the node that completes an entry holds
-    it under the key ""."""
+def prefix_trie(entries) -> dict:
+    """Prefix trie of the entries: nested dicts keyed by character; the node
+    that completes an entry holds it under the key ""."""
     root: dict = {}
-    cut = len(prefix)
     for entry in entries:
-        if entry.startswith(prefix):
-            node = root
-            for ch in entry[cut:]:
-                node = node.setdefault(ch, {})
-            node[""] = entry
+        node = root
+        for ch in entry:
+            node = node.setdefault(ch, {})
+        node[""] = entry
     return root
 
 

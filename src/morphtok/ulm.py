@@ -14,17 +14,18 @@ segmentable.
 
 `_viterbi` walks the prefix trie of a `UlmVocabulary`, the one home of
 its trie, depth and exact weights, for decoding and for the best
-alternative of an entry approximate pruning would drop: pruning reads
-the round's `UlmVocabulary`. EM reads each edge more than once, through
-one index of the training units (`_unit_index`): a forward value depends
-only on a unit's prefix and a backward value only on its suffix, so each
-distinct prefix and suffix is scored once per step, by one recurrence,
-and training keeps the index across pruning rounds. Exact pruning reads
-the same index: the forward value of a prefix without one entry also
-depends only on the prefix, so it is scored once per entry, and
-`_prefix_forward` serves both. So does the usage count of approximate
-pruning: a best path, too, depends only on the prefix, and `_best_paths`
-finds every prefix's in one pass.
+alternative of an entry approximate pruning would drop, never as deep as
+the entry, so no trie is edited: pruning reads the round's `UlmVocabulary`.
+EM reads each edge more than once, through one index of the training
+units (`_unit_index`): a forward value depends only on a unit's prefix
+and a backward value only on its suffix, so each distinct prefix and
+suffix is scored once per step, by one recurrence, and training keeps
+the index across pruning rounds. Exact pruning reads the same index: the
+forward value of a prefix without one entry also depends only on the
+prefix, so it is scored once per entry, and `_prefix_forward` serves
+both. So does the usage count of approximate pruning: a best path, too,
+depends only on the prefix, and `_best_paths` finds every prefix's in
+one pass.
 
 Paths rank by the exact sum of their edge weights, then by fewer pieces,
 then by the smaller piece sequence; a -inf entry makes the sum -inf.
@@ -434,7 +435,8 @@ def _approximate_utilities(prunable, unit_counts, vocab, index):
     `vocab`, an unboosted `UlmVocabulary`. Usage comes from `_best_paths`:
     each unit's frequency is pushed back from its final prefix id along the
     back-pointers, in reverse id order. Only the alternative of a used
-    entry, whose string the index lacks, is decoded by `_viterbi`.
+    entry, whose string the index lacks, is decoded by `_viterbi`, at most
+    len(p) - 1 characters deep: every edge of p's segmentations but p's own.
     """
     log_probs, weights, trie = vocab.log_probs, vocab.weights, vocab.trie
     into, _, positions = index
@@ -454,12 +456,7 @@ def _approximate_utilities(prunable, unit_counts, vocab, index):
         if f == 0:
             utilities[p] = 0.0
             continue
-        node = trie
-        for ch in p:
-            node = node[ch]
-        del node[""]  # p's own edge, out of the trie while p is decoded
-        alt = _viterbi(p, trie, vocab.depth, weights)
-        node[""] = p
+        alt = _viterbi(p, trie, len(p) - 1, weights)
         utilities[p] = math.inf if alt is None else f * (log_probs[p] - math.fsum(log_probs[q] for q in alt))
     return utilities
 

@@ -31,7 +31,7 @@ entirely in continuation form, so nothing is ever merged across a
 morpheme boundary, and any subword materialized right after a boundary
 enters the vocabulary as a "##" entry.
 
-Encoding finds each longest match by walking a prefix trie of the
+Encoding finds each longest match by walking the one prefix trie of the
 vocabulary (`corpus.prefix_trie`), one character at a time.
 """
 
@@ -72,15 +72,10 @@ class WpVocabulary:
         return len(self.entries)
 
     @functools.cached_property
-    def tries(self) -> tuple[dict, dict]:
-        """Prefix tries for the word-initial position and for later ones ("##"
-        entries keyed by body). A word may start with "##", so the first
-        trie holds the second under "##" too."""
-        continuation = prefix_trie(self.entries, CONTINUATION_PREFIX)
-        initial = prefix_trie(e for e in self.entries if not e.startswith(CONTINUATION_PREFIX))
-        first, second = CONTINUATION_PREFIX
-        initial.setdefault(first, {})[second] = continuation
-        return initial, continuation
+    def trie(self) -> dict:
+        """Prefix trie of the entries (see :func:`morphtok.corpus.prefix_trie`);
+        its "##" node holds the "##" entries keyed by body."""
+        return prefix_trie(self.entries)
 
 
 def _word_units(word: str, freq: int, delimiter: str | None):
@@ -228,10 +223,10 @@ def wp_encode(word: str, vocab: WpVocabulary, morph_delimiter: str | None = None
     whole word to the unknown token. Each match walks a prefix trie and
     stops at the first character that continues no entry.
 
-    The word-initial position matches bare entries, every later position
-    matches "##" entries. Delimiter boundaries are hard: each morpheme
-    segment is encoded on its own, segments after the first entirely in
-    continuation form.
+    The word-initial position walks from the trie's root, every later one
+    from its "##" node, which holds only "##" entries. Delimiter boundaries
+    are hard: each morpheme segment is encoded on its own, segments after
+    the first entirely in continuation form.
     """
     pieces = []
     for k, seg in enumerate(morph_segments(word, morph_delimiter, "encode")):
@@ -239,11 +234,13 @@ def wp_encode(word: str, vocab: WpVocabulary, morph_delimiter: str | None = None
         if whole in vocab.entries:  # its own longest match: one probe, no walk
             pieces.append(whole)
             continue
-        initial, continuation = vocab.tries  # built on the first walk
+        trie = vocab.trie  # built on the first walk
+        first, second = CONTINUATION_PREFIX
+        continuation = trie.get(first, {}).get(second, {})
         n = len(seg)
         i = 0
         while i < n:
-            node = continuation if k or i else initial
+            node = continuation if k or i else trie
             match = None
             for j in range(i, n):
                 node = node.get(seg[j])

@@ -195,6 +195,20 @@ class TestValidation:
         assert cli.main(["encode", "--artifact", str(path), "--input", str(words)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_repeated_wordpiece_entry_rejected(self, tmp_path, capsys):
+        # as a repeated unigram piece is: a set would load the repeat silently
+        text = (GOLDEN / "wp.tok").read_text(encoding="utf-8")
+        last = text.splitlines(keepends=True)[-1]
+        lineno = text.count("\n") + 1  # the appended line
+        path, words = tmp_path / "wp.tok", tmp_path / "words.txt"
+        path.write_text(text + last, encoding="utf-8")
+        words.write_text("amat\n", encoding="utf-8")
+        message = f":{lineno}: repeated piece {last.rstrip()!r}"
+        with pytest.raises(LoaderError, match=message):
+            load_tokenizer(path)
+        assert cli.main(["encode", "--artifact", str(path), "--input", str(words)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("golden", ["wp.tok", "ulm.tok"])
     def test_unknown_or_repeated_header_key_rejected(self, tmp_path, capsys, golden):
         # neither may load: an unknown key would be ignored, and a repeated

@@ -244,6 +244,28 @@ class TestTrain:
         assert code == 2
         assert "vocab_sizes" in capsys.readouterr().err
 
+    def test_repeated_config_key_is_input_error(self, files, capsys):
+        # "vocab-size" names the key "vocab_size" does; the later line must not win
+        cfg = files["dir"] / "train.cfg"
+        cfg.write_text("vocab_size 35\n# a comment\nvocab-size 40\n", encoding="utf-8")
+        out = files["dir"] / "wp.tok"
+        code = cli.main(["train", "--algorithm", "wordpiece", "--corpus", files["corpus"],
+                         "--output", str(out), "--config", str(cfg)])
+        assert code == 2
+        assert f"error: {cfg}:3: repeated config key 'vocab_size'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["wordpiece", "ulm"])
+    def test_morphseed_without_a_suffix_is_input_error(self, files, capsys, algorithm):
+        # blank and comment lines only: the artifact would be the baseline's
+        # under the morphseed label
+        Path(files["suffixes"]).write_text("\n# none yet\n  \n", encoding="utf-8")
+        out = files["dir"] / "seeded.tok"
+        assert cli.main(train_args(files, str(out), algorithm, "morphseed")) == 2
+        assert f"error: {files['suffixes']}: no suffix" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (files["dir"] / "seeded.tok.manifest").exists()
+
     def test_sample_fraction(self, files):
         out = str(files["dir"] / "wp.tok")
         code = cli.main(train_args(files, out, "wordpiece", "baseline",

@@ -647,7 +647,7 @@ class TestPruning:
         got = _approximate_utilities(prunable, unit_counts, vocab, index)
         assert got == expected
         assert sum(u != 0 for u in got.values()) > 300  # entries in use, whose alternatives were decoded
-        assert vocab.trie == prefix_trie(log_probs)  # every entry is back in the trie
+        assert vocab.trie == prefix_trie(log_probs)  # the trie is as built
 
         exact = _exact_utilities(prunable, unit_counts, index, log_probs)
         assert exact == exact_utilities_oracle(prunable, unit_counts, log_probs)
@@ -674,6 +674,26 @@ class TestPruning:
         _approximate_utilities(prunable, unit_counts, vocab, index)
         assert decoded == [p for p in prunable if p in used]
         assert len(decoded) > 300
+
+    def test_alternatives_decoded_from_the_unedited_trie(self, monkeypatch):
+        # each used entry's alternative is decoded from the round's trie with
+        # every entry, its own among them, in place: a walk shorter than the
+        # entry leaves its own edge out, and nothing edits the trie
+        vocab, unit_counts, index, _, exempt = first_pruning_round(False)
+        prunable = [p for p in vocab.log_probs if p not in exempt]
+        built = prefix_trie(vocab.log_probs)
+        decoded = []
+
+        def checked(unit, trie, depth, weights):
+            assert trie is vocab.trie and trie == built
+            assert depth == len(unit) - 1
+            decoded.append(unit)
+            return _viterbi(unit, trie, depth, weights)
+
+        monkeypatch.setattr(ulm, "_viterbi", checked)
+        _approximate_utilities(prunable, unit_counts, vocab, index)
+        assert len(decoded) > 300
+        assert vocab.trie == built
 
     @pytest.mark.parametrize("exact", [False, True], ids=["approximate", "exact"])
     def test_one_trie_per_vocabulary_read(self, monkeypatch, exact):

@@ -296,12 +296,12 @@ class TestLongWords:
         entries |= {"##" + b for b in bodies if rng.random() < 0.7}
         word = "".join(rng.choice("ab") for _ in range(4000))
         steps = [0]
-        monkeypatch.setattr(wordpiece, "prefix_trie", lambda *args: counting(prefix_trie(*args), steps))
+        monkeypatch.setattr(wordpiece, "prefix_trie", lambda entries: counting(prefix_trie(entries), steps))
         vocab = WpVocabulary(entries=entries)
-        initial, continuation = vocab.tries
+        trie = vocab.trie
         depth = 6
-        assert trie_depth(continuation) == depth
-        assert trie_depth(initial["a"]) < depth and trie_depth(initial["b"]) < depth
+        assert trie_depth(trie["#"]["#"]) == depth
+        assert trie_depth(trie["a"]) < depth and trie_depth(trie["b"]) < depth
 
         pieces = wp_encode(word, vocab)
         assert 0 < steps[0] <= len(word) * (depth + 1)
@@ -309,9 +309,25 @@ class TestLongWords:
         assert "".join(strip_markers(pieces)) == word
 
     def test_continuation_entries_keyed_by_body(self):
-        initial, continuation = WpVocabulary(entries={"[UNK]", "ab", "##abc"}).tries
-        assert continuation == {"a": {"b": {"c": {"": "##abc"}}}}
-        # the word-initial trie holds every entry under its full text
-        assert initial["a"]["b"][""] == "ab"
-        assert initial["#"]["#"] is continuation
-        assert initial["["]["U"]["N"]["K"]["]"][""] == "[UNK]"
+        entries = {"[UNK]", "ab", "##ab", "##abc"}
+        vocab = WpVocabulary(entries=entries)
+        trie = vocab.trie
+        # one trie holds every entry under its full text, so the node of "##"
+        # is the subtree of the "##" entries keyed by body
+        assert trie["#"]["#"] == {"a": {"b": {"": "##ab", "c": {"": "##abc"}}}}
+        assert trie["a"]["b"][""] == "ab"
+        assert trie["["]["U"]["N"]["K"]["]"][""] == "[UNK]"
+        # a word may start with "##": its first match walks through that node
+        for word in ("##abcab", "ab##ab"):
+            assert wp_encode(word, vocab) == wp_encode_oracle(word, entries)
+        assert wp_encode("##abcab", vocab) == ["##abc", "##ab"]
+        assert wp_encode("abab", WpVocabulary(entries={"[UNK]", "ab"})) == ["[UNK]"]  # no "##" node
+
+    def test_one_trie_built_per_vocabulary(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(wordpiece, "prefix_trie", lambda entries: built.append(1) or prefix_trie(entries))
+        vocab = WpVocabulary(entries={"[UNK]", "a", "b", "##a", "##b", "ab"})
+        for word in ("abab", "ba", "ab@ba", "##a"):
+            wp_encode(word, vocab, "@")
+        assert vocab.trie is vocab.trie
+        assert len(built) == 1
