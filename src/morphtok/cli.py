@@ -106,8 +106,9 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _resolve_options(args) -> dict:
-    """Each train option from its flag, else the config file, else its default."""
+def _resolve_options(args) -> tuple[dict, set]:
+    """Each train option from its flag, else the config file, else its
+    default; and the names of the options a flag or the file gave."""
     file_values = _load_config_file(args.config) if args.config else {}
     resolved = {}
     for key, (_, default) in TRAIN_OPTIONS.items():
@@ -118,7 +119,8 @@ def _resolve_options(args) -> dict:
             resolved[key] = flag_value
         else:
             resolved[key] = file_values.get(key, default)
-    return resolved
+    given = file_values.keys() | {key for key in TRAIN_OPTIONS if getattr(args, key) is not None}
+    return resolved, given
 
 
 def _flag(key: str) -> str:
@@ -172,7 +174,11 @@ def _presegmented_input(args, mode, lexicon, mapping, delimiter, lowercase, frac
 
 
 def cmd_train(args) -> int:
-    opt = _resolve_options(args)
+    opt, given = _resolve_options(args)
+    config_class = artifacts.CONFIG_CLASSES[args.algorithm]
+    own = {name for name, _, _ in artifacts.config_fields(config_class)} | CORPUS_OPTIONS.keys()
+    for key in sorted(given - own):  # the other trainer's options; the manifest still records them
+        _warn(f"{_flag(key)} is ignored with --algorithm {args.algorithm}")
     guidance = args.guidance
     mode = artifacts.GUIDANCE_MODES[guidance]
     reads = MODE_INPUTS[mode] + ("suffixes",) * (guidance == "morphseed")
@@ -195,7 +201,6 @@ def cmd_train(args) -> int:
         args, mode, lexicon, mapping, delimiter, opt["lowercase"], opt["sample_fraction"], opt["seed"]
     )
 
-    config_class = artifacts.CONFIG_CLASSES[args.algorithm]
     options = {name: opt[name] for name, _, _ in artifacts.config_fields(config_class)}
     # only presegmented training data carries delimiters
     options["morph_delimiter"] = delimiter if mode else None

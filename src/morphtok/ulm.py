@@ -25,7 +25,8 @@ forward value of a prefix without one entry also depends only on the
 prefix, so it is scored once per entry, and `_prefix_forward` serves
 both. So does the usage count of approximate pruning: a best path, too,
 depends only on the prefix, and `_best_paths` finds every prefix's in
-one pass.
+one pass. The index holds each edge as two items of a flat list, its
+piece and then its other end's id, so an edge is no object of its own.
 
 Paths rank by the exact sum of their edge weights, then by fewer pieces,
 then by the smaller piece sequence; a -inf entry makes the sum -inf.
@@ -128,33 +129,33 @@ def _split_units(word_freqs, morph_delimiter: str | None) -> Counter:
     return units
 
 
-def _ids(chars, children, edges):
-    """Ids of the successive prefixes of `chars`, the empty one first, in the
-    tree `children` (id -> {character: child id}); a new id gets an edge list."""
+def _ids(chars, ids_of, edges):
+    """Ids of the successive prefixes of `chars`, the empty one first, in the tree
+    `ids_of`, one map of (parent id, character) -> child id; a new id, len(edges), gets an edge list."""
     ids = [0]
     for ch in chars:
-        ids.append(children[ids[-1]].setdefault(ch, len(children)))
-        if ids[-1] == len(children):
-            children.append({})
+        i = ids_of.setdefault((ids[-1], ch), len(edges))
+        if i == len(edges):
             edges.append([])
+        ids.append(i)
     return ids
 
 
 def _unit_index(units, trie):
     """The segmentation edges of `units` over the entries of `trie`, by prefix
-    and suffix: (into, out, positions). into[p] lists the in-edges (piece,
-    from-prefix id) of prefix p by start position, out[s] the out-edges
-    (piece, to-suffix id) of suffix s shortest first, and positions each
-    unit's prefix and suffix ids at 0..n. Id 0 is the empty prefix or
-    suffix; an edge's other end has the smaller id. The edges from each
-    position are found by walking `trie` from it. Child dicts keyed by
-    character, not by substring, keep the build linear in the units' length."""
+    and suffix: (into, out, positions). into[p] is the flat list of prefix p's
+    in-edges by start position, out[s] of suffix s's out-edges shortest first,
+    each edge its piece, then its other end's id; positions holds each unit's
+    prefix and suffix ids at 0..n. Id 0 is the empty prefix or suffix; an
+    edge's other end has the smaller id. The edges from each position are
+    found by walking `trie` from it. Ids keyed by (parent id, character), not
+    by substring, keep the build linear in the units' length."""
     into, out, positions = [[]], [[]], []
-    prefix_children, suffix_children = [{}], [{}]
+    prefix_ids, suffix_ids = {}, {}
     for unit in units:
         old_prefixes, old_suffixes = len(into), len(out)  # ids from these on are the unit's own
-        pids = _ids(unit, prefix_children, into)
-        sids = _ids(reversed(unit), suffix_children, out)[::-1]
+        pids = _ids(unit, prefix_ids, into)
+        sids = _ids(reversed(unit), suffix_ids, out)[::-1]
         for i in range(len(unit)):
             node = trie
             for j in range(i + 1, len(unit) + 1):
@@ -165,9 +166,9 @@ def _unit_index(units, trie):
                 if piece is None:
                     continue
                 if sids[i] >= old_suffixes:
-                    out[sids[i]].append((piece, sids[j]))
+                    out[sids[i]] += piece, sids[j]
                 if pids[j] >= old_prefixes:
-                    into[pids[j]].append((piece, pids[i]))
+                    into[pids[j]] += piece, pids[i]
         positions.append((pids, sids))
     return into, out, positions
 
@@ -281,9 +282,11 @@ def ulm_encode(word: str, vocab: UlmVocabulary, morph_delimiter: str | None = No
 
 
 def _prefix_forward(edges, alpha, log_probs, without=None):
-    """Forward value of a prefix: the logsumexp, in start order, of alpha[f] +
-    log_probs[p] over its in-edges (p, f) from live prefixes f, except entry `without`'s."""
-    vals = [alpha[f] + log_probs[p] for p, f in edges if alpha[f] != NEG_INF and p != without]
+    """Forward value of a prefix: the logsumexp, in start order, of alpha[f] + log_probs[p]
+    over its in-edges, the flat pairs p, f, with entry `without` read as -inf. A -inf
+    term adds exp(-inf) = 0.0, so an edge of `without` or from a dead f adds nothing."""
+    it = iter(edges)
+    vals = [alpha[next(it)] + (log_probs[p] if p != without else NEG_INF) for p in it]
     return _logsumexp(vals) if vals else NEG_INF
 
 
@@ -315,6 +318,7 @@ def _expected_counts(unit_counts, log_probs, index=None):
     counts = {p: 0.0 for p in log_probs}
     ll = 0.0
     unk: list[str] = []
+    exp = math.exp
     for (unit, freq), (pids, sids) in zip(unit_counts.items(), positions):
         log_z = alpha[pids[-1]]
         if log_z == NEG_INF:
@@ -325,11 +329,9 @@ def _expected_counts(unit_counts, log_probs, index=None):
             ai = alpha[pid]
             if ai == NEG_INF:
                 continue
-            for piece, t in out[sid]:
-                bj = beta[t]
-                if bj == NEG_INF:
-                    continue
-                counts[piece] += freq * math.exp(ai + log_probs[piece] + bj - log_z)
+            it = iter(out[sid])
+            for piece in it:  # then its suffix id; a -inf backward value adds exp(-inf) = 0.0
+                counts[piece] += freq * exp(ai + log_probs[piece] + beta[next(it)] - log_z)
     return counts, ll, unk
 
 
@@ -409,7 +411,9 @@ def _best_paths(into, weights):
     total[0] = 0
     for q in range(1, n):
         cur = None  # q's best so far: sum cur, count c_q, last edge p_q from f_q
-        for piece, f in into[q]:
+        it = iter(into[q])
+        for piece in it:
+            f = next(it)
             t_f = total[f]
             if t_f is None:
                 continue
@@ -473,7 +477,7 @@ def _exact_utilities(prunable, unit_counts, index, log_probs):
     prefixes = {unit: pids for unit, (pids, _) in zip(unit_counts, positions)}
     touched: dict[str, list[str]] = {}  # entry -> the units it occurs in, sorted
     for unit in sorted(prefixes):
-        for piece in {p for pid in prefixes[unit] for p, _ in into[pid]}:
+        for piece in {p for pid in prefixes[unit] for p in into[pid][::2]}:
             touched.setdefault(piece, []).append(unit)
     utilities = {}
     for p in prunable:
@@ -541,7 +545,8 @@ def ulm_train(corpus: Corpus, cfg: UlmTrainerConfig) -> UlmVocabulary:
             break
         log_probs = _prune(UlmVocabulary(log_probs), unit_counts, index, cfg, exempt)
         for edges in index[0] + index[1]:  # the pruned entries' edges leave the index
-            edges[:] = [e for e in edges if e[0] in log_probs]
+            it = iter(edges)
+            edges[:] = [x for pair in zip(it, it) if pair[0] in log_probs for x in pair]
 
     boost = cfg.seed_weight if protected else 0.0
     return UlmVocabulary(log_probs, frozenset(protected), boost)

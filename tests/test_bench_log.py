@@ -142,3 +142,19 @@ def test_summary_command_line(tmp_path, capsys):
     for argv in (["--summary", "zipf-train", "--label", "x"], ["--label", "x"], []):
         with pytest.raises(SystemExit):
             bench_log.main(argv)
+
+
+@pytest.mark.parametrize("workload", ["mini-latin", "zipf-train", "long-tail-encode"])
+def test_committed_log_is_summarised(workload):
+    # every run in the repository's log carries every end-to-end metric
+    # BENCHMARK.json names, so a malformed append fails here, not in a later summary
+    entries = json.loads((bench_log.ROOT / f"BENCH_{workload}.json").read_text(encoding="utf-8"))
+    benchmark = json.loads((bench_log.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in benchmark["end_to_end"]]
+    assert entries
+    for entry in entries:
+        assert entry.keys() == {"commit", "label", *bench_log.KEPT}, entry
+        assert [name for name in names if name not in entry["metrics"]] == [], entry["commit"]
+    lines = bench_log.summary(workload)
+    for entry in entries:
+        assert any(line.startswith(f"{entry['label']} {entry['commit'][:8]}: ") for line in lines)

@@ -266,6 +266,28 @@ class TestTrain:
         assert not out.exists()
         assert not (files["dir"] / "seeded.tok.manifest").exists()
 
+    @pytest.mark.parametrize("algorithm, flags, config_line, ignored, manifest_line", [
+        ("wordpiece", ["--seed-size", "5", "--exact-pruning"], "shrinking-factor 0.3",
+         ["--exact-pruning", "--seed-size", "--shrinking-factor"], "option_seed_size 5"),
+        # a flag and a config key naming one option: one warning, and the flag wins
+        ("ulm", ["--min-pair-frequency", "7"], "min_pair_frequency 9",
+         ["--min-pair-frequency"], "option_min_pair_frequency 7"),
+    ], ids=["wordpiece", "ulm"])
+    def test_other_algorithm_option_warns_and_is_ignored(self, files, capsys, algorithm, flags, config_line,
+                                                         ignored, manifest_line):
+        # the option, whether a flag or a config key gives it, reaches no
+        # trainer; the manifest records it as it records every option
+        plain, other = files["dir"] / "plain.tok", files["dir"] / "other.tok"
+        cfg = files["dir"] / "train.cfg"
+        cfg.write_text(config_line + "\n", encoding="utf-8")
+        assert cli.main(train_args(files, str(plain), algorithm)) == 0
+        plain_err = capsys.readouterr().err.splitlines()
+        assert cli.main(train_args(files, str(other), algorithm, "baseline", *flags, "--config", str(cfg))) == 0
+        assert other.read_bytes() == plain.read_bytes()
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {flag} is ignored with --algorithm {algorithm}" for flag in ignored] + plain_err
+        assert manifest_line in (files["dir"] / "other.tok.manifest").read_text(encoding="utf-8").splitlines()
+
     def test_sample_fraction(self, files):
         out = str(files["dir"] / "wp.tok")
         code = cli.main(train_args(files, out, "wordpiece", "baseline",

@@ -371,15 +371,16 @@ class TestLattice:
     @settings(max_examples=300)
     def test_trie_walk_matches_slicing(self, case):
         # the index's in-edges of each prefix are the lattice edges that end
-        # there, by start; its out-edges of each suffix the lattice row there
+        # there, by start; its out-edges of each suffix the lattice row there;
+        # each edge is its piece, then its other end's id, in one flat list
         pieces, unit = case
         into, out, [(pids, sids)] = _unit_index({unit: 1}, prefix_trie(pieces))
         lattice = lattice_oracle(unit, pieces)
         for j in range(1, len(unit) + 1):
-            ending = [(piece, pids[i]) for i, row in enumerate(lattice) for end, piece in row if end == j]
+            ending = [x for i, row in enumerate(lattice) for end, piece in row if end == j for x in (piece, pids[i])]
             assert into[pids[j]] == ending
         for i, row in enumerate(lattice):
-            assert out[sids[i]] == [(piece, sids[end]) for end, piece in row]
+            assert out[sids[i]] == [x for end, piece in row for x in (piece, sids[end])]
 
 
 class TestLogSumExp:
@@ -448,6 +449,10 @@ class TestExpectedCounts:
     @example(({"a": -1.0, "b": -math.inf, "ab": -0.5, "bb": -1.1}, {"ab": 1, "bb": 2, "aba": 1, "b": 3}))
     # a unit no entry covers
     @example(({"a": -1.0, "ab": -0.5}, {"ab": 1, "abc": 2, "b": 1}))
+    # the live prefix "a" meets the suffix "b", whose backward value is -inf
+    @example(({"a": -1.0, "ab": -0.7, "b": -math.inf}, {"aab": 1}))
+    # an in-edge ("a") of the prefix "ba" leaves the dead prefix "b"
+    @example(({"a": -1.0, "ba": -0.5, "b": -math.inf}, {"baa": 2}))
     @settings(max_examples=300, deadline=None)
     def test_matches_lattice_forward_backward(self, case):
         # every count is the float each unit's own lattice gave, summed in the same order
@@ -660,7 +665,7 @@ class TestPruning:
         log_probs, into = vocab.log_probs, index[0]
         weights = ReadCountingDict(_exact_weights(log_probs)[0])
         _best_paths(into, weights)
-        assert 0 < weights.reads <= sum(map(len, into))
+        assert 0 < weights.reads <= sum(map(len, into)) // 2  # each edge is two list items
 
         used = {p for unit in unit_counts for p in decode(unit, log_probs)[2]}
         prunable = [p for p in log_probs if p not in exempt]
@@ -757,9 +762,27 @@ class TestIndexWork:
             finally:
                 tracemalloc.stop()
             del held
-            assert sum(map(len, into)) > n
+            assert sum(map(len, into)) // 2 > n  # each edge is two list items
             per_char[n] = peak / n
         assert per_char[4000] <= 1.5 * per_char[1000], per_char
+
+    def test_index_bytes_per_edge(self):
+        # the index of the mini-latin seed vocabulary: an edge held as a
+        # (piece, id) tuple costs about 119 bytes at the build's peak, and as
+        # two items of a flat list about 61, the trees of ids included
+        units = ulm._split_units(load_corpus(MINI / "corpus.txt").word_counts(), None)
+        trie = prefix_trie(_seed_log_probs(units, MINI_ULM, {ch for unit in units for ch in unit}))
+        held = [(k, k) for k in range(5000)]  # empties the 2-tuple free list, as in TestDecodeWork
+        tracemalloc.start()
+        try:
+            into, out, _ = _unit_index(units, trie)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del held
+        edges = (sum(map(len, into)) + sum(map(len, out))) // 2  # each edge is two list items
+        assert edges > 10_000
+        assert peak <= 80 * edges, peak / edges
 
 
 class TestSeedWork:
