@@ -330,7 +330,7 @@ def _expected_counts(unit_counts, log_probs, index=None):
             if ai == NEG_INF:
                 continue
             it = iter(out[sid])
-            for piece in it:  # then its suffix id; a -inf backward value adds exp(-inf) = 0.0
+            for piece in it:  # each piece, then its suffix id; a -inf backward value adds exp(-inf) = 0.0
                 counts[piece] += freq * exp(ai + log_probs[piece] + beta[next(it)] - log_z)
     return counts, ll, unk
 

@@ -767,9 +767,9 @@ class TestIndexWork:
         assert per_char[4000] <= 1.5 * per_char[1000], per_char
 
     def test_index_bytes_per_edge(self):
-        # the index of the mini-latin seed vocabulary: an edge held as a
-        # (piece, id) tuple costs about 119 bytes at the build's peak, and as
-        # two items of a flat list about 61, the trees of ids included
+        # the index of the mini-latin seed vocabulary: on Python 3.11 an edge
+        # held as a (piece, id) tuple costs about 119 bytes at the build's
+        # peak, and as two items of a flat list about 61, the id maps included
         units = ulm._split_units(load_corpus(MINI / "corpus.txt").word_counts(), None)
         trie = prefix_trie(_seed_log_probs(units, MINI_ULM, {ch for unit in units for ch in unit}))
         held = [(k, k) for k in range(5000)]  # empties the 2-tuple free list, as in TestDecodeWork
