@@ -21,7 +21,8 @@ prefix). Unigram entries are ``piece<TAB>logprob<TAB>protected_flag``
 with ``repr`` floats, so probabilities reload bit-exactly. Every
 non-blank line after the ``# ---`` separator is an entry, so entries
 never need escaping (words cannot contain whitespace, hence no entry
-can start with "# "). No piece is listed twice.
+can start with "# ", and one with whitespace fails to load). No piece
+is listed twice.
 """
 
 from __future__ import annotations
@@ -108,10 +109,19 @@ def save_tokenizer(model, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parsed(decode, text: str, what: str, path, lineno: int):
+    """`decode(text)`, or a LoaderError at ``path:lineno`` naming `what`."""
+    try:
+        return decode(text)
+    except (KeyError, ValueError):
+        raise loader_error(path, lineno, f"{what} {text!r} does not parse") from None
+
+
 def load_tokenizer(path):
     """Load an artifact back into a tokenizer; rejects other versions, a missing,
-    unknown or repeated header key, a repeated piece and a config digest that
-    does not match the loaded model."""
+    unknown or repeated header key, a value that does not parse, an entry with
+    whitespace, a repeated piece and a config digest that does not match the
+    loaded model. A fault of one line is reported at ``path:lineno``."""
     # no header line or entry is blank, so blank lines (as after the last "\n") are skipped
     lines = ((lineno, line) for lineno, line in iter_lines(path) if line)
     if next(lines, (1, ""))[1] != f"# {FORMAT_VERSION}":
@@ -134,22 +144,32 @@ def load_tokenizer(path):
         raise LoaderError(f"{path}: artifact has no vocabulary entries")
 
     try:
+        for key in ("kind", "guidance"):
+            if key not in header:
+                raise LoaderError(f"{path}: missing header key {key!r}")
         kind, guidance = header["kind"], header["guidance"]
         if guidance not in GUIDANCE_MODES:
             raise LoaderError(f"{path}: unknown guidance mode {guidance!r}")
         if kind not in CONFIG_CLASSES:
             raise LoaderError(f"{path}: unknown tokenizer kind {kind!r}")
         config_class = CONFIG_CLASSES[kind]
-        known = {"kind", "guidance", "config_digest", *(name for name, _, _ in config_fields(config_class))}
-        known |= {"boost"} if kind == "ulm" else set()
-        if unknown := [key for key in header if key not in known]:
+        keys = ["kind", "guidance", *(name for name, _, _ in config_fields(config_class))]
+        keys += ["boost", "config_digest"] if kind == "ulm" else ["config_digest"]
+        if unknown := [key for key in header if key not in keys]:
             raise loader_error(path, header_lines[unknown[0]], f"unknown header key {unknown[0]!r}")
-        cfg = config_class(
-            **{name: _DECODE[typ](header[name]) for name, typ, _ in config_fields(config_class)}
-        )
+        if missing := [key for key in keys if key not in header]:
+            raise LoaderError(f"{path}: missing header key {missing[0]!r}")
+        cfg = config_class(**{
+            name: _parsed(_DECODE[typ], header[name], name, path, header_lines[name])
+            for name, typ, _ in config_fields(config_class)
+        })
+        # every piece is part of a whitespace-split word: an entry with
+        # whitespace is a line that was never a piece, such as a header line
         if kind == "wordpiece":
             first_line: dict[str, int] = {}
             for lineno, piece in entries:
+                if len(piece.split()) != 1:
+                    raise loader_error(path, lineno, f"piece {piece!r} contains whitespace")
                 if first_line.setdefault(piece, lineno) != lineno:
                     raise loader_error(path, lineno, f"repeated piece {piece!r}")
             model = WordPieceTokenizer(WpVocabulary(set(first_line)), cfg, guidance)
@@ -163,15 +183,17 @@ def load_tokenizer(path):
                 piece, lp, flag = parts
                 if not piece or flag not in ("0", "1"):
                     raise loader_error(path, lineno, "expected a non-empty piece and a flag of 0 or 1")
+                if len(piece.split()) != 1:
+                    raise loader_error(path, lineno, f"piece {piece!r} contains whitespace")
                 if piece in log_probs:
                     raise loader_error(path, lineno, f"repeated piece {piece!r}")
-                log_probs[piece] = float(lp)
+                log_probs[piece] = _parsed(float, lp, "log-prob", path, lineno)
                 if flag == "1":
                     protected.add(piece)
             total = sum(math.exp(lp) for lp in log_probs.values())
             if not abs(total - 1.0) <= 1e-6:  # a NaN log-prob makes the sum NaN
                 raise LoaderError(f"{path}: entry probabilities sum to {total}, expected 1")
-            boost = float(header["boost"])
+            boost = _parsed(float, header["boost"], "boost", path, header_lines["boost"])
             if not math.isfinite(boost):
                 raise LoaderError(f"{path}: boost {boost} is not finite")
             vocab = UlmVocabulary(log_probs, frozenset(protected), boost)
@@ -180,7 +202,7 @@ def load_tokenizer(path):
         if stored != digest:
             raise LoaderError(f"{path}: config_digest {stored} does not match the header's {digest}")
         return model
-    except (KeyError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         if isinstance(exc, LoaderError):
             raise
         raise LoaderError(f"{path}: malformed artifact header or entries ({exc})") from None

@@ -118,7 +118,11 @@ def iter_lines(path):
 
 @dataclass
 class Corpus:
-    """Sentences of whitespace-free words; treat as read-only after construction."""
+    """Sentences of whitespace-free words; treat as read-only after construction.
+
+    A loaded corpus holds one string per word type: every token of a type
+    is the same object, however often it occurs.
+    """
 
     sentences: list[list[str]]
 
@@ -137,9 +141,16 @@ def load_corpus(path, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITE
     Words are split on runs of whitespace (so doubled spaces never yield
     empty words), optionally lowercased, and literal delimiter
     characters are escaped. Blank lines are skipped; an empty file gives
-    a corpus with zero sentences.
+    a corpus with zero sentences. Tokens of one type share one string.
     """
-    return Corpus(list(corpus_sentences(iter_lines(path), lowercase, delimiter)))
+    return Corpus(_shared_types(corpus_sentences(iter_lines(path), lowercase, delimiter)))
+
+
+def _shared_types(sentences) -> list[list]:
+    """The sentences with every token replaced by the first equal one seen,
+    so a held corpus costs one object per type and a pointer per token."""
+    share = {}.setdefault  # local to one load, unlike sys.intern's process-wide table
+    return [list(map(share, s, s)) for s in sentences]
 
 
 def corpus_sentences(lines, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITER):
@@ -156,7 +167,11 @@ def corpus_sentences(lines, lowercase: bool = False, delimiter: str = DEFAULT_DE
 
 @dataclass
 class TaggedCorpus:
-    """Sentences of (word, UD tag) pairs."""
+    """Sentences of (word, UD tag) pairs; treat as read-only after construction.
+
+    A loaded corpus holds one tuple per (word, tag) type: every token of a
+    type is the same object, however often it occurs.
+    """
 
     sentences: list[list[tuple[str, str]]]
 
@@ -197,8 +212,9 @@ def tagged_sentences(lines, source, lowercase: bool = False, delimiter: str = DE
 def load_tagged_corpus(
     path, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITER
 ) -> TaggedCorpus:
-    """Load a POS-tagged corpus: ``word<TAB>UD_POS`` rows, blank line between sentences."""
-    return TaggedCorpus(list(tagged_sentences(iter_lines(path), path, lowercase, delimiter)))
+    """Load a POS-tagged corpus: ``word<TAB>UD_POS`` rows, blank line between
+    sentences. Tokens of one (word, tag) type share one tuple."""
+    return TaggedCorpus(_shared_types(tagged_sentences(iter_lines(path), path, lowercase, delimiter)))
 
 
 @dataclass

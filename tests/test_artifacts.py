@@ -38,6 +38,18 @@ def ulm_model():
     return UlmTokenizer(ulm_train(corpus, cfg), cfg, "morphseed")
 
 
+def assert_load_fails(tmp_path, capsys, path, message):
+    """Loading the artifact at `path` fails with `message`, and so does
+    `encode` with it, exiting 2."""
+    with pytest.raises(LoaderError) as exc:
+        load_tokenizer(path)
+    assert str(exc.value) == message
+    words = tmp_path / "words.txt"
+    words.write_text("amat\n", encoding="utf-8")
+    assert cli.main(["encode", "--artifact", str(path), "--input", str(words)]) == 2
+    assert message in capsys.readouterr().err
+
+
 class TestRoundTrip:
     def test_wordpiece_bytes_stable(self, tmp_path):
         model = wp_model()
@@ -239,13 +251,46 @@ class TestValidation:
             if not line.startswith("# exact_pruning ")
         )
         # every config field is a required header key
-        for text in (
-            "# morphtok tokenizer v1\n# kind wordpiece\n# guidance baseline\n# ---\na\n",
-            lacks_exact_pruning,
+        for text, key in (
+            ("# morphtok tokenizer v1\n# kind wordpiece\n# guidance baseline\n# ---\na\n", "vocab_size"),
+            (lacks_exact_pruning, "exact_pruning"),
         ):
             path.write_text(text, encoding="utf-8")
-            with pytest.raises(LoaderError, match="malformed"):
+            with pytest.raises(LoaderError, match=f": missing header key '{key}'$"):
                 load_tokenizer(path)
+
+    def test_deleted_header_key_named(self, tmp_path, capsys):
+        # a header key is a whole-file fact: the message names the key, not a line
+        text = (GOLDEN / "ulm.tok").read_text(encoding="utf-8")
+        path = tmp_path / "ulm.tok"
+        path.write_text(text.replace("# shrinking_factor 0.75\n", ""), encoding="utf-8")
+        assert_load_fails(tmp_path, capsys, path, f"{path}: missing header key 'shrinking_factor'")
+
+    @pytest.mark.parametrize("golden, old, new, problem", [
+        ("ulm.tok", "a\t-25.02269599401323\t0\n", "a\t[UNK]\t0\n", "log-prob '[UNK]' does not parse"),
+        ("ulm.tok", "# boost 0.5\n", "# boost half\n", "boost 'half' does not parse"),
+        ("wp.tok", "# vocab_size 40\n", "# vocab_size 4O\n", "vocab_size '4O' does not parse"),
+    ], ids=["log-prob", "boost", "header-int"])
+    def test_value_that_does_not_parse_located(self, tmp_path, capsys, golden, old, new, problem):
+        text = (GOLDEN / golden).read_text(encoding="utf-8")
+        lineno = text.count("\n", 0, text.index(old)) + 1
+        path = tmp_path / golden
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        assert_load_fails(tmp_path, capsys, path, f"{path}:{lineno}: {problem}")
+
+    @pytest.mark.parametrize("golden, line", [
+        ("wp.tok", "# kind wordpiece"),
+        ("wp.tok", "po rt"),
+        ("ulm.tok", "am at\t-30.0\t0"),
+    ], ids=["wp-header-line", "wp-space", "ulm-space"])
+    def test_entry_with_whitespace_rejected(self, tmp_path, capsys, golden, line):
+        # no trained piece contains whitespace, so such a line is not a piece
+        text = (GOLDEN / golden).read_text(encoding="utf-8")
+        lineno = text.count("\n") + 1  # the appended line
+        path = tmp_path / golden
+        path.write_text(text + line + "\n", encoding="utf-8")
+        piece = line.split("\t")[0]
+        assert_load_fails(tmp_path, capsys, path, f"{path}:{lineno}: piece {piece!r} contains whitespace")
 
 
     @pytest.mark.parametrize("edit, match", [

@@ -1,6 +1,8 @@
 """Corpus, lexicon, suffix, gold-set loading and the delimiter escape rule."""
 
+import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,8 @@ from morphtok.corpus import (
 )
 from morphtok.errors import LoaderError
 from oracles import corpus_sentences_oracle, split_on_delimiter_oracle
+
+MINI = Path(__file__).resolve().parent.parent / "data" / "mini-latin"
 
 # delimiters the CLI accepts, regex metacharacters and cased letters among them
 DELIMITERS = "@#|.*+?^$()[]{}Ii"
@@ -130,6 +134,74 @@ def pairs_and_error(lines):
 # ASCII, whole and cut multi-byte sequences, line ends and an invalid byte
 FRAGMENTS = [b"a", b" ", b"\t", b"\n", b"\r", b"\r\n", "é".encode(), "€".encode(), b"\xc3", b"\xa9",
              b"\xe2\x82", b"\xff"]
+
+
+def objects_per_type(sentences) -> dict:
+    """Each token type -> the ids of the objects that hold it."""
+    ids: dict = {}
+    for sentence in sentences:
+        for token in sentence:
+            ids.setdefault(token, set()).add(id(token))
+    return ids
+
+
+def retained_bytes(load):
+    """``(result, bytes still allocated once load() returns)`` under tracemalloc."""
+    held = [(k, k) for k in range(5000)]  # empties the 2-tuple free list, as in TestIndexWork
+    tracemalloc.start()
+    try:
+        result = load()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del held
+    return result, retained
+
+
+class TestSharedTypes:
+    # a loaded corpus holds each type once, however often it occurs
+    def test_one_string_per_word(self, tmp_path):
+        # longer than one character, which CPython caches anyway
+        path = write(tmp_path, "c.txt", "cano arma cano\narma virum arma\n\ncano cano\n")
+        ids = objects_per_type(load_corpus(path).sentences)
+        assert ids.keys() == {"arma", "cano", "virum"}
+        assert all(len(objs) == 1 for objs in ids.values()), ids
+
+    def test_one_string_per_lowercased_word(self, tmp_path):
+        path = write(tmp_path, "c.txt", "Amat amat\nAMAT rosa\n")
+        sentences = load_corpus(path, lowercase=True).sentences
+        assert sentences == [["amat", "amat"], ["amat", "rosa"]]
+        assert sentences[0][0] is sentences[0][1] is sentences[1][0]
+
+    def test_one_tuple_per_tagged_type(self, tmp_path):
+        path = write(tmp_path, "t.tsv", "amat\tVERB\nrosa\tNOUN\n\namat\tVERB\namat\tNOUN\nrosa\tNOUN\n")
+        sentences = load_tagged_corpus(path).sentences
+        ids = objects_per_type(sentences)
+        assert ids.keys() == {("amat", "VERB"), ("rosa", "NOUN"), ("amat", "NOUN")}
+        assert all(len(objs) == 1 for objs in ids.values()), ids
+
+    def test_sample_keeps_shared_tokens(self):
+        sampled = sample_sentences(load_corpus(MINI / "corpus.txt"), 0.5, 3)
+        assert sampled.n_words > 10_000
+        assert all(len(objs) == 1 for objs in objects_per_type(sampled.sentences).values())
+
+    def test_bytes_per_token(self, tmp_path):
+        # 10-word lines of 50 types: a string per token would cost about 70
+        # bytes each; a pointer per token and a list per line cost about 19
+        rng = random.Random(0)
+        words = [f"verbum{k}" for k in range(50)]
+        lines = (" ".join(rng.choices(words, k=10)) for _ in range(2000))
+        path = write(tmp_path, "c.txt", "\n".join(lines) + "\n")
+        corpus, retained = retained_bytes(lambda: load_corpus(path))
+        assert corpus.n_words == 20_000
+        assert retained <= 24 * corpus.n_words, retained / corpus.n_words
+
+    def test_bytes_per_tagged_row(self):
+        # mini-latin's 50k rows: a tuple and two strings per row would cost
+        # about 185 bytes each
+        corpus, retained = retained_bytes(lambda: load_tagged_corpus(MINI / "tagged.tsv"))
+        assert corpus.n_words > 40_000
+        assert retained <= 32 * corpus.n_words, retained / corpus.n_words
 
 
 class TestIterLines:
