@@ -149,9 +149,9 @@ def load_tokenizer(path):
                 raise LoaderError(f"{path}: missing header key {key!r}")
         kind, guidance = header["kind"], header["guidance"]
         if guidance not in GUIDANCE_MODES:
-            raise LoaderError(f"{path}: unknown guidance mode {guidance!r}")
+            raise loader_error(path, header_lines["guidance"], f"unknown guidance mode {guidance!r}")
         if kind not in CONFIG_CLASSES:
-            raise LoaderError(f"{path}: unknown tokenizer kind {kind!r}")
+            raise loader_error(path, header_lines["kind"], f"unknown tokenizer kind {kind!r}")
         config_class = CONFIG_CLASSES[kind]
         keys = ["kind", "guidance", *(name for name, _, _ in config_fields(config_class))]
         keys += ["boost", "config_digest"] if kind == "ulm" else ["config_digest"]

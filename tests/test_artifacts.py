@@ -126,7 +126,7 @@ class TestValidation:
             "# morphtok tokenizer v1\n# kind bpe\n# guidance baseline\n# ---\na\n",
             encoding="utf-8",
         )
-        with pytest.raises(LoaderError, match="bpe"):
+        with pytest.raises(LoaderError, match=":2: unknown tokenizer kind 'bpe'"):
             load_tokenizer(path)
 
     def test_unknown_guidance_rejected(self, tmp_path):
@@ -135,7 +135,7 @@ class TestValidation:
             "# morphtok tokenizer v1\n# kind wordpiece\n# guidance mystery\n# ---\na\n",
             encoding="utf-8",
         )
-        with pytest.raises(LoaderError, match="mystery"):
+        with pytest.raises(LoaderError, match=":3: unknown guidance mode 'mystery'"):
             load_tokenizer(path)
 
     def test_probability_sum_checked(self, tmp_path):
