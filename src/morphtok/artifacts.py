@@ -117,6 +117,18 @@ def _parsed(decode, text: str, what: str, path, lineno: int):
         raise loader_error(path, lineno, f"{what} {text!r} does not parse") from None
 
 
+def _new_piece(piece: str, seen, path, lineno: int) -> str:
+    """`piece`, or a LoaderError at ``path:lineno`` if it holds whitespace or
+    is in `seen`. Every piece is part of a corpus word, and no corpus word
+    holds whitespace, so such an entry is a line that was never a piece,
+    such as a header line."""
+    if piece.split() != [piece]:
+        raise loader_error(path, lineno, f"piece {piece!r} contains whitespace")
+    if piece in seen:
+        raise loader_error(path, lineno, f"repeated piece {piece!r}")
+    return piece
+
+
 def load_tokenizer(path):
     """Load an artifact back into a tokenizer; rejects other versions, a missing,
     unknown or repeated header key, a value that does not parse, an entry with
@@ -163,16 +175,11 @@ def load_tokenizer(path):
             name: _parsed(_DECODE[typ], header[name], name, path, header_lines[name])
             for name, typ, _ in config_fields(config_class)
         })
-        # every piece is part of a whitespace-split word: an entry with
-        # whitespace is a line that was never a piece, such as a header line
         if kind == "wordpiece":
-            first_line: dict[str, int] = {}
+            pieces: set[str] = set()
             for lineno, piece in entries:
-                if len(piece.split()) != 1:
-                    raise loader_error(path, lineno, f"piece {piece!r} contains whitespace")
-                if first_line.setdefault(piece, lineno) != lineno:
-                    raise loader_error(path, lineno, f"repeated piece {piece!r}")
-            model = WordPieceTokenizer(WpVocabulary(set(first_line)), cfg, guidance)
+                pieces.add(_new_piece(piece, pieces, path, lineno))
+            model = WordPieceTokenizer(WpVocabulary(pieces), cfg, guidance)
         else:
             log_probs: dict[str, float] = {}
             protected = set()
@@ -183,10 +190,7 @@ def load_tokenizer(path):
                 piece, lp, flag = parts
                 if not piece or flag not in ("0", "1"):
                     raise loader_error(path, lineno, "expected a non-empty piece and a flag of 0 or 1")
-                if len(piece.split()) != 1:
-                    raise loader_error(path, lineno, f"piece {piece!r} contains whitespace")
-                if piece in log_probs:
-                    raise loader_error(path, lineno, f"repeated piece {piece!r}")
+                piece = _new_piece(piece, log_probs, path, lineno)
                 log_probs[piece] = _parsed(float, lp, "log-prob", path, lineno)
                 if flag == "1":
                     protected.add(piece)

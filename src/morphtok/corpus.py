@@ -200,6 +200,10 @@ def tagged_sentences(lines, source, lowercase: bool = False, delimiter: str = DE
         word, tag = parts[0].strip(), parts[1].strip()
         if not word:
             raise loader_error(source, lineno, "empty word")
+        # as in a plain corpus, which is split on it, no word holds whitespace;
+        # no whitespace is alphanumeric, so most words need no split
+        if not word.isalnum() and word.split() != [word]:
+            raise loader_error(source, lineno, f"word contains whitespace: {word!r}")
         if tag not in UD_TAGS:
             raise loader_error(source, lineno, f"unknown UD POS tag: {tag!r}")
         if lowercase:

@@ -199,27 +199,16 @@ class TestValidation:
         lineno = text.count("\n", 0, text.index(first_entry)) + 1 + offset  # the bad line
         path = tmp_path / "ulm.tok"
         path.write_text(text.replace(first_entry, bad, 1), encoding="utf-8")
-        message = f":{lineno}: {problem}"
-        with pytest.raises(LoaderError, match=message):
-            load_tokenizer(path)
-        words = tmp_path / "words.txt"
-        words.write_text("amat\n", encoding="utf-8")
-        assert cli.main(["encode", "--artifact", str(path), "--input", str(words)]) == 2
-        assert message in capsys.readouterr().err
+        assert_load_fails(tmp_path, capsys, path, f"{path}:{lineno}: {problem}")
 
     def test_repeated_wordpiece_entry_rejected(self, tmp_path, capsys):
         # as a repeated unigram piece is: a set would load the repeat silently
         text = (GOLDEN / "wp.tok").read_text(encoding="utf-8")
         last = text.splitlines(keepends=True)[-1]
         lineno = text.count("\n") + 1  # the appended line
-        path, words = tmp_path / "wp.tok", tmp_path / "words.txt"
+        path = tmp_path / "wp.tok"
         path.write_text(text + last, encoding="utf-8")
-        words.write_text("amat\n", encoding="utf-8")
-        message = f":{lineno}: repeated piece {last.rstrip()!r}"
-        with pytest.raises(LoaderError, match=message):
-            load_tokenizer(path)
-        assert cli.main(["encode", "--artifact", str(path), "--input", str(words)]) == 2
-        assert message in capsys.readouterr().err
+        assert_load_fails(tmp_path, capsys, path, f"{path}:{lineno}: repeated piece {last.rstrip()!r}")
 
     @pytest.mark.parametrize("golden", ["wp.tok", "ulm.tok"])
     def test_unknown_or_repeated_header_key_rejected(self, tmp_path, capsys, golden):
@@ -230,19 +219,14 @@ class TestValidation:
         size_line = next(line for line in text.splitlines(keepends=True) if line.startswith("# vocab_size "))
         at = text.index("# config_digest ")
         lineno = text.count("\n", 0, at) + 1  # the inserted line
-        path, words = tmp_path / golden, tmp_path / "words.txt"
-        words.write_text("amat\n", encoding="utf-8")
+        path = tmp_path / golden
         boost = "repeated header key 'boost'" if golden == "ulm.tok" else "unknown header key 'boost'"
         for inserted, problem in (("# bogus_key 7\n", "unknown header key 'bogus_key'"),
                                   (size_line, "repeated header key 'vocab_size'"), ("# boost 0.5\n", boost)):
             path.write_text(text[:at] + inserted + text[at:], encoding="utf-8")
-            message = f":{lineno}: {problem}"
-            with pytest.raises(LoaderError, match=message):
-                load_tokenizer(path)
-            assert cli.main(["encode", "--artifact", str(path), "--input", str(words)]) == 2
-            assert message in capsys.readouterr().err
+            assert_load_fails(tmp_path, capsys, path, f"{path}:{lineno}: {problem}")
 
-    def test_missing_config_key_rejected(self, tmp_path):
+    def test_missing_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "a.tok"
         save_tokenizer(ulm_model(), path)
         lacks_exact_pruning = "".join(
@@ -250,21 +234,17 @@ class TestValidation:
             for line in path.read_text(encoding="utf-8").splitlines(keepends=True)
             if not line.startswith("# exact_pruning ")
         )
-        # every config field is a required header key
+        golden = (GOLDEN / "ulm.tok").read_text(encoding="utf-8")
+        assert "# shrinking_factor 0.75\n" in golden
+        # every config field is a required header key; a header key is a
+        # whole-file fact, so the message names the key, not a line
         for text, key in (
             ("# morphtok tokenizer v1\n# kind wordpiece\n# guidance baseline\n# ---\na\n", "vocab_size"),
             (lacks_exact_pruning, "exact_pruning"),
+            (golden.replace("# shrinking_factor 0.75\n", ""), "shrinking_factor"),
         ):
             path.write_text(text, encoding="utf-8")
-            with pytest.raises(LoaderError, match=f": missing header key '{key}'$"):
-                load_tokenizer(path)
-
-    def test_deleted_header_key_named(self, tmp_path, capsys):
-        # a header key is a whole-file fact: the message names the key, not a line
-        text = (GOLDEN / "ulm.tok").read_text(encoding="utf-8")
-        path = tmp_path / "ulm.tok"
-        path.write_text(text.replace("# shrinking_factor 0.75\n", ""), encoding="utf-8")
-        assert_load_fails(tmp_path, capsys, path, f"{path}: missing header key 'shrinking_factor'")
+            assert_load_fails(tmp_path, capsys, path, f"{path}: missing header key '{key}'")
 
     @pytest.mark.parametrize("golden, old, new, problem", [
         ("ulm.tok", "a\t-25.02269599401323\t0\n", "a\t[UNK]\t0\n", "log-prob '[UNK]' does not parse"),
@@ -281,8 +261,11 @@ class TestValidation:
     @pytest.mark.parametrize("golden, line", [
         ("wp.tok", "# kind wordpiece"),
         ("wp.tok", "po rt"),
+        ("wp.tok", "amat "),
+        ("wp.tok", "## "),
         ("ulm.tok", "am at\t-30.0\t0"),
-    ], ids=["wp-header-line", "wp-space", "ulm-space"])
+        ("ulm.tok", "am \t-30.0\t0"),
+    ], ids=["wp-header-line", "wp-space", "wp-trailing-space", "wp-bare-prefix", "ulm-space", "ulm-trailing-space"])
     def test_entry_with_whitespace_rejected(self, tmp_path, capsys, golden, line):
         # no trained piece contains whitespace, so such a line is not a piece
         text = (GOLDEN / golden).read_text(encoding="utf-8")
@@ -291,7 +274,6 @@ class TestValidation:
         path.write_text(text + line + "\n", encoding="utf-8")
         piece = line.split("\t")[0]
         assert_load_fails(tmp_path, capsys, path, f"{path}:{lineno}: piece {piece!r} contains whitespace")
-
 
     @pytest.mark.parametrize("edit, match", [
         (("# guidance morphpretok-contextual\n", ""), "guidance"),

@@ -197,6 +197,17 @@ class TestTrain:
         assert f"error: {bad}:2: invalid UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tagged_word_with_whitespace_is_located(self, files, capsys):
+        # trained on, it would give the artifact a piece with whitespace, which
+        # the loader rejects
+        tagged = files["dir"] / "spaced.tsv"
+        tagged.write_text("portas\tVERB\nad hoc\tADV\n", encoding="utf-8")
+        out = files["dir"] / "wp.tok"
+        args = train_args(files, str(out), "wordpiece", "morphpretok-contextual", "--tagged-corpus", str(tagged))
+        assert cli.main(args) == 2
+        assert f"error: {tagged}:2: word contains whitespace: 'ad hoc'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_without_corpus_is_input_error(self, files, capsys):
         out = files["dir"] / "wp.tok"
         code = cli.main(["train", "--algorithm", "wordpiece", "--output", str(out)])

@@ -232,6 +232,14 @@ class TestTaggedCorpus:
         with pytest.raises(LoaderError, match="NOUNS"):
             load_tagged_corpus(path)
 
+    @pytest.mark.parametrize("word", ["ad hoc", "ad\u00a0hoc"])
+    def test_word_with_whitespace_is_fatal(self, tmp_path, word):
+        # a plain corpus would read it as two words
+        path = write(tmp_path, "t.tsv", f"arma\tNOUN\n{word}\tADV\n")
+        with pytest.raises(LoaderError) as exc:
+            load_tagged_corpus(path)
+        assert str(exc.value) == f"{path}:2: word contains whitespace: {word!r}"
+
     def test_wrong_field_count_is_fatal(self, tmp_path):
         path = write(tmp_path, "t.tsv", "arma NOUN\n")
         with pytest.raises(LoaderError, match=r":1:"):

@@ -6,18 +6,17 @@
 Writes the workload's inputs through `perfbench/workloads.py` into a
 temporary directory (a bundled workload reads its files where they are),
 then runs one pass of the workload's commands in this process through
-`morphtok.cli.main`, in the order `perfbench/run.py` runs them. After each
-command it prints the process's peak resident set size (`ru_maxrss`) and
-how much that command raised it, so the command that sets the benchmark's
-`peak_rss_mib` can be seen. Nothing under `perfbench/` is written.
+`morphtok.cli.main`, calling each as `perfbench/run.py` does and in its
+order. After each command it prints the process's peak resident set size
+(`ru_maxrss`) and how much that command raised it, so the command that
+sets the benchmark's `peak_rss_mib` can be seen. Nothing under
+`perfbench/` is written.
 
 Lines that start with "#" are headers; every other line is one command:
 peak MiB, rise MiB, command kind, configuration.
 """
 
 import argparse
-import contextlib
-import io
 import resource
 import sys
 import tempfile
@@ -28,6 +27,7 @@ sys.dont_write_bytecode = True  # leaves no __pycache__ under perfbench/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from morphtok import cli  # noqa: E402
+from run import call  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 # ru_maxrss is in KiB on Linux and in bytes on macOS
@@ -56,12 +56,9 @@ def main(argv=None) -> int:
         print(f"# before the first command: {before:.1f}")
         for cfg in wl.configs:
             for kind, argv in wl.commands(cfg, inputs, out):
-                err = io.StringIO()
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                    rc = cli.main(argv)
+                rc, err = call(cli, kind, argv, None)
                 if rc != 0:
-                    print(f"{wl.name}/{cfg.name}: {kind} exited {rc}: {err.getvalue().strip()}",
-                          file=sys.stderr)
+                    print(f"{wl.name}/{cfg.name}: {kind} exited {rc}: {err}", file=sys.stderr)
                     return 1
                 after = peak_mib()
                 print(f"{after:10.1f} {after - before:+7.1f}  {kind:<8} {cfg.name}")
