@@ -176,10 +176,11 @@ def load_tokenizer(path):
             for name, typ, _ in config_fields(config_class)
         })
         if kind == "wordpiece":
-            pieces: set[str] = set()
+            pieces: dict[str, None] = {}
             for lineno, piece in entries:
-                pieces.add(_new_piece(piece, pieces, path, lineno))
-            model = WordPieceTokenizer(WpVocabulary(pieces), cfg, guidance)
+                pieces[_new_piece(piece, pieces, path, lineno)] = None
+            # a set made whole is sized for its entries; one grown by add() can be twice as large
+            model = WordPieceTokenizer(WpVocabulary(set(pieces)), cfg, guidance)
         else:
             log_probs: dict[str, float] = {}
             protected = set()
