@@ -130,10 +130,9 @@ def _new_piece(piece: str, seen, path, lineno: int) -> str:
 
 
 def load_tokenizer(path):
-    """Load an artifact back into a tokenizer; rejects other versions, a missing,
-    unknown or repeated header key, a value that does not parse, an entry with
-    whitespace, a repeated piece and a config digest that does not match the
-    loaded model. A fault of one line is reported at ``path:lineno``."""
+    """Load an artifact back into a tokenizer; rejects other versions, a missing, unknown or repeated
+    header key, a value that does not parse or that its trainer config rejects, a malformed or repeated
+    entry and a config digest that does not match, each fault of one line at ``path:lineno``."""
     # no header line or entry is blank, so blank lines (as after the last "\n") are skipped
     lines = ((lineno, line) for lineno, line in iter_lines(path) if line)
     if next(lines, (1, ""))[1] != f"# {FORMAT_VERSION}":
@@ -155,62 +154,61 @@ def load_tokenizer(path):
     if not entries:
         raise LoaderError(f"{path}: artifact has no vocabulary entries")
 
-    try:
-        for key in ("kind", "guidance"):
-            if key not in header:
-                raise LoaderError(f"{path}: missing header key {key!r}")
-        kind, guidance = header["kind"], header["guidance"]
-        if guidance not in GUIDANCE_MODES:
-            raise loader_error(path, header_lines["guidance"], f"unknown guidance mode {guidance!r}")
-        if kind not in CONFIG_CLASSES:
-            raise loader_error(path, header_lines["kind"], f"unknown tokenizer kind {kind!r}")
-        config_class = CONFIG_CLASSES[kind]
-        keys = ["kind", "guidance", *(name for name, _, _ in config_fields(config_class))]
-        keys += ["boost", "config_digest"] if kind == "ulm" else ["config_digest"]
-        if unknown := [key for key in header if key not in keys]:
-            raise loader_error(path, header_lines[unknown[0]], f"unknown header key {unknown[0]!r}")
-        if missing := [key for key in keys if key not in header]:
-            raise LoaderError(f"{path}: missing header key {missing[0]!r}")
-        cfg = config_class(**{
-            name: _parsed(_DECODE[typ], header[name], name, path, header_lines[name])
-            for name, typ, _ in config_fields(config_class)
-        })
-        if kind == "wordpiece":
-            pieces: dict[str, None] = {}
-            for lineno, piece in entries:
-                pieces[_new_piece(piece, pieces, path, lineno)] = None
-            # a set made whole is sized for its entries; one grown by add() can be twice as large
-            model = WordPieceTokenizer(WpVocabulary(set(pieces)), cfg, guidance)
-        else:
-            log_probs: dict[str, float] = {}
-            protected = set()
-            for lineno, line in entries:
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise loader_error(path, lineno, "expected piece<TAB>logprob<TAB>flag")
-                piece, lp, flag = parts
-                if not piece or flag not in ("0", "1"):
-                    raise loader_error(path, lineno, "expected a non-empty piece and a flag of 0 or 1")
-                piece = _new_piece(piece, log_probs, path, lineno)
-                log_probs[piece] = _parsed(float, lp, "log-prob", path, lineno)
-                if flag == "1":
-                    protected.add(piece)
-            total = sum(math.exp(lp) for lp in log_probs.values())
-            if not abs(total - 1.0) <= 1e-6:  # a NaN log-prob makes the sum NaN
-                raise LoaderError(f"{path}: entry probabilities sum to {total}, expected 1")
-            boost = _parsed(float, header["boost"], "boost", path, header_lines["boost"])
-            if not math.isfinite(boost):
-                raise LoaderError(f"{path}: boost {boost} is not finite")
-            vocab = UlmVocabulary(log_probs, frozenset(protected), boost)
-            model = UlmTokenizer(vocab, cfg, guidance)
-        stored, digest = header["config_digest"], config_digest(model)
-        if stored != digest:
-            raise LoaderError(f"{path}: config_digest {stored} does not match the header's {digest}")
-        return model
-    except (ValueError, OverflowError) as exc:
-        if isinstance(exc, LoaderError):
-            raise
-        raise LoaderError(f"{path}: malformed artifact header or entries ({exc})") from None
+    if missing := [key for key in ("kind", "guidance") if key not in header]:
+        raise LoaderError(f"{path}: missing header key {missing[0]!r}")
+    kind, guidance = header["kind"], header["guidance"]
+    if guidance not in GUIDANCE_MODES:
+        raise loader_error(path, header_lines["guidance"], f"unknown guidance mode {guidance!r}")
+    if kind not in CONFIG_CLASSES:
+        raise loader_error(path, header_lines["kind"], f"unknown tokenizer kind {kind!r}")
+    config_class = CONFIG_CLASSES[kind]
+    keys = ["kind", "guidance", *(name for name, _, _ in config_fields(config_class))]
+    keys += ["boost", "config_digest"] if kind == "ulm" else ["config_digest"]
+    if unknown := [key for key in header if key not in keys]:
+        raise loader_error(path, header_lines[unknown[0]], f"unknown header key {unknown[0]!r}")
+    if missing := [key for key in keys if key not in header]:
+        raise LoaderError(f"{path}: missing header key {missing[0]!r}")
+    values = {}
+    for name, typ, _ in config_fields(config_class):
+        value = values[name] = _parsed(_DECODE[typ], header[name], name, path, header_lines[name])
+        try:
+            config_class(**{name: value})  # its __post_init__ judges the value alone
+        except ValueError as exc:
+            raise loader_error(path, header_lines[name], str(exc)) from None
+    cfg = config_class(**values)
+    if kind == "wordpiece":
+        pieces: dict[str, None] = {}
+        for lineno, piece in entries:
+            pieces[_new_piece(piece, pieces, path, lineno)] = None
+        # a set made whole is sized for its entries; one grown by add() can be twice as large
+        model = WordPieceTokenizer(WpVocabulary(set(pieces)), cfg, guidance)
+    else:
+        log_probs: dict[str, float] = {}
+        protected = set()
+        for lineno, line in entries:
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise loader_error(path, lineno, "expected piece<TAB>logprob<TAB>flag")
+            piece, lp, flag = parts
+            if not piece or flag not in ("0", "1"):
+                raise loader_error(path, lineno, "expected a non-empty piece and a flag of 0 or 1")
+            piece = _new_piece(piece, log_probs, path, lineno)
+            lp = log_probs[piece] = _parsed(float, lp, "log-prob", path, lineno)
+            if not lp <= 0:  # no probability exceeds 1
+                raise loader_error(path, lineno, f"log-prob must be a number <= 0, got {lp}")
+            if flag == "1":
+                protected.add(piece)
+        total = sum(math.exp(lp) for lp in log_probs.values())
+        if not abs(total - 1.0) <= 1e-6:
+            raise LoaderError(f"{path}: entry probabilities sum to {total}, expected 1")
+        boost = _parsed(float, header["boost"], "boost", path, header_lines["boost"])
+        if not math.isfinite(boost):
+            raise loader_error(path, header_lines["boost"], f"boost must be finite, got {boost}")
+        model = UlmTokenizer(UlmVocabulary(log_probs, frozenset(protected), boost), cfg, guidance)
+    stored, digest = header["config_digest"], config_digest(model)
+    if stored != digest:
+        raise LoaderError(f"{path}: config_digest {stored} does not match the header's {digest}")
+    return model
 
 
 def word_encoder(

@@ -14,7 +14,7 @@ import sys
 from . import artifacts, evaluation, presegment, ulm, wordpiece
 from .corpus import (
     DEFAULT_DELIMITER,
-    check_delimiter,
+    check_sample_fraction,
     corpus_sentences,
     decode_lines,
     iter_lines,
@@ -46,8 +46,8 @@ def _parse_bool(value: str) -> bool:
 # The corpus pass reads all four; `seed` seeds the sentence sampling, and the
 # delimiter reaches the trainer config only with presegmented training data.
 CORPUS_OPTIONS = {
-    "morph_delimiter": (check_delimiter, DEFAULT_DELIMITER),
-    "sample_fraction": (float, 1.0),
+    "morph_delimiter": (str, DEFAULT_DELIMITER),
+    "sample_fraction": (lambda text: check_sample_fraction(float(text)), 1.0),
     "seed": (int, 0),
     "lowercase": (_parse_bool, False),
 }
@@ -82,9 +82,13 @@ def _sha256(path) -> str:
 def _parse_option(key: str, text: str, where: str):
     """Parse one train option's text; `where` locates it in an error."""
     try:
-        return TRAIN_OPTIONS[key][0](text)
+        value = TRAIN_OPTIONS[key][0](text)
+        for config_class in artifacts.CONFIG_CLASSES.values():
+            if key in config_class.__dataclass_fields__:  # its __post_init__ judges the value
+                config_class(**{key: value})
     except ValueError as exc:
         raise LoaderError(f"{where}: bad value for {key!r}: {exc}") from None
+    return value
 
 
 def _load_config_file(path) -> dict:
@@ -98,8 +102,6 @@ def _load_config_file(path) -> dict:
         value = value.strip()
         if key not in TRAIN_OPTIONS:
             raise LoaderError(f"{path}:{lineno}: unknown config key {key!r}")
-        if not value:
-            raise LoaderError(f"{path}:{lineno}: missing value for {key!r}")
         if key in values:  # vocab_size and vocab-size alike
             raise LoaderError(f"{path}:{lineno}: repeated config key {key!r}")
         values[key] = _parse_option(key, value, f"{path}:{lineno}")

@@ -35,14 +35,21 @@ CONTINUATION_PREFIX = "##"
 UNK_TOKEN = "[UNK]"
 
 
-def check_delimiter(delimiter: str) -> str:
-    """`delimiter` if it is one character other than "\\" (which escapes it
-    in text) and whitespace (which separates words); else ValueError."""
-    if len(delimiter) != 1 or delimiter == "\\" or delimiter.isspace():
+def check_delimiter(delimiter: str | None) -> str | None:
+    """`delimiter` if it is None or one character other than "\\" (which
+    escapes it in text) and whitespace (which separates words); else ValueError."""
+    if delimiter is not None and (len(delimiter) != 1 or delimiter == "\\" or delimiter.isspace()):
         raise ValueError(
             f"morph delimiter must be one character other than '\\' and whitespace, got {delimiter!r}"
         )
     return delimiter
+
+
+def check_sample_fraction(fraction: float) -> float:
+    """`fraction` if it is in (0, 1], else ValueError; NaN is not."""
+    if not 0 < fraction <= 1:
+        raise ValueError(f"sample fraction must be in (0, 1], got {fraction}")
+    return fraction
 
 
 def escape_delimiter(text: str, delimiter: str = DEFAULT_DELIMITER) -> str:
@@ -379,12 +386,7 @@ def reservoir_indices(n: int, fraction: float, seed: int) -> list[int]:
     The draw depends only on (seed, n), so identical inputs give
     identical samples. fraction = 1 keeps everything.
     """
-    if not 0 < fraction <= 1:
-        raise ValueError(f"sample fraction must be in (0, 1], got {fraction}")
-    if n == 0:
-        return []
-    if fraction == 1:
-        return list(range(n))
+    check_sample_fraction(fraction)
     k = max(1, int(round(fraction * n)))
     rng = random.Random(seed)
     reservoir = list(range(min(k, n)))

@@ -68,10 +68,13 @@ class UlmTrainerConfig:
     morph_delimiter: str | None = None
 
     def __post_init__(self):
-        if self.morph_delimiter is not None:
-            check_delimiter(self.morph_delimiter)
+        check_delimiter(self.morph_delimiter)
         if not math.isfinite(self.seed_weight):
             raise ValueError(f"seed_weight must be finite, got {self.seed_weight}")
+        if not 0 < self.shrinking_factor < 1:
+            raise ValueError(f"shrinking_factor must be in (0, 1), got {self.shrinking_factor}")
+        if self.max_piece_length < 1 or self.seed_size < 1 or self.em_iterations_per_round < 1:
+            raise ValueError("max_piece_length, seed_size and em_iterations_per_round must be positive")
 
 
 @dataclass
@@ -519,10 +522,6 @@ def _prune(vocab, unit_counts, index, cfg: UlmTrainerConfig, exempt):
 
 def ulm_train(corpus: Corpus, cfg: UlmTrainerConfig) -> UlmVocabulary:
     """Train a unigram LM vocabulary down to cfg.vocab_size entries."""
-    if not 0 < cfg.shrinking_factor < 1:
-        raise ValueError(f"shrinking_factor must be in (0, 1), got {cfg.shrinking_factor}")
-    if cfg.max_piece_length < 1 or cfg.seed_size < 1 or cfg.em_iterations_per_round < 1:
-        raise ValueError("max_piece_length, seed_size and em_iterations_per_round must be positive")
     word_freqs = corpus.word_counts()
     if not word_freqs:
         raise ValueError("cannot train on an empty corpus")

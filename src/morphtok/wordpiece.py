@@ -57,8 +57,7 @@ class WpTrainerConfig:
     morph_delimiter: str | None = None
 
     def __post_init__(self):
-        if self.morph_delimiter is not None:
-            check_delimiter(self.morph_delimiter)
+        check_delimiter(self.morph_delimiter)
 
 
 @dataclass

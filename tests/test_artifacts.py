@@ -50,6 +50,16 @@ def assert_load_fails(tmp_path, capsys, path, message):
     assert message in capsys.readouterr().err
 
 
+def assert_appended_entry_fails(tmp_path, capsys, entry, problem):
+    """An artifact with `entry` appended fails to load with `problem` at its line."""
+    path = tmp_path / "a.tok"
+    save_tokenizer(ulm_model(), path)
+    text = path.read_text(encoding="utf-8")
+    lineno = text.count("\n") + 1  # the appended line
+    path.write_text(text + entry + "\n", encoding="utf-8")
+    assert_load_fails(tmp_path, capsys, path, f"{path}:{lineno}: {problem}")
+
+
 class TestRoundTrip:
     def test_wordpiece_bytes_stable(self, tmp_path):
         model = wp_model()
@@ -159,32 +169,24 @@ class TestValidation:
         with pytest.raises(LoaderError, match="piece<TAB>logprob<TAB>flag"):
             load_tokenizer(path)
 
-    def test_overflowing_logprob_rejected(self, tmp_path):
-        path = tmp_path / "a.tok"
-        save_tokenizer(ulm_model(), path)
-        path.write_text(
-            path.read_text(encoding="utf-8") + "zz\t100000.0\t0\n", encoding="utf-8"
-        )
-        with pytest.raises(LoaderError):
-            load_tokenizer(path)
+    def test_overflowing_logprob_rejected(self, tmp_path, capsys):
+        # no probability exceeds 1, and exp() of this one would overflow
+        problem = "log-prob must be a number <= 0, got 100000.0"
+        assert_appended_entry_fails(tmp_path, capsys, "zz\t100000.0\t0", problem)
 
-    def test_nan_logprob_rejected(self, tmp_path):
+    def test_nan_logprob_rejected(self, tmp_path, capsys):
         # NaN passes a plain `> 1e-6` test of the probability sum
-        path = tmp_path / "a.tok"
-        save_tokenizer(ulm_model(), path)
-        path.write_text(path.read_text(encoding="utf-8") + "zz\tnan\t0\n", encoding="utf-8")
-        with pytest.raises(LoaderError, match="sum to nan"):
-            load_tokenizer(path)
+        assert_appended_entry_fails(tmp_path, capsys, "zz\tnan\t0", "log-prob must be a number <= 0, got nan")
 
     @pytest.mark.parametrize("boost", ["inf", "nan"])
-    def test_non_finite_boost_rejected(self, tmp_path, boost):
+    def test_non_finite_boost_rejected(self, tmp_path, capsys, boost):
         path = tmp_path / "a.tok"
         save_tokenizer(ulm_model(), path)
         text = path.read_text(encoding="utf-8")
         assert "# boost 0.5\n" in text
+        lineno = text.count("\n", 0, text.index("# boost 0.5\n")) + 1
         path.write_text(text.replace("# boost 0.5\n", f"# boost {boost}\n"), encoding="utf-8")
-        with pytest.raises(LoaderError, match="boost .* is not finite"):
-            load_tokenizer(path)
+        assert_load_fails(tmp_path, capsys, path, f"{path}:{lineno}: boost must be finite, got {boost}")
 
     @pytest.mark.parametrize("bad, offset, problem", [
         ("a\t-25.02269599401323\tx\n", 0, "expected a non-empty piece and a flag of 0 or 1"),
@@ -290,6 +292,53 @@ class TestValidation:
         path.write_text(text.replace(edit[0], edit[1]), encoding="utf-8")
         with pytest.raises(LoaderError, match=match):
             load_tokenizer(path)
+
+
+def mutation_sites():
+    """``(golden, line index, field)`` of each header value of both golden
+    artifacts, and of the log-prob and the flag of the first ULM entry."""
+    sites = []
+    for golden in ("wp.tok", "ulm.tok"):
+        lines = (GOLDEN / golden).read_text(encoding="utf-8").splitlines()
+        end = lines.index(artifacts.SEPARATOR)
+        sites += [(golden, i, lines[i][2:].partition(" ")[0]) for i in range(1, end)]
+    return sites + [("ulm.tok", end + 1, "log-prob"), ("ulm.tok", end + 1, "flag")]
+
+
+# mutants that must exit 2 at their own line: values a trainer config
+# rejects, a non-finite boost, and log-probs that are NaN or above 0
+LOCATED_MUTANTS = {
+    ("wp.tok", "morph_delimiter", "xy"), ("ulm.tok", "seed_weight", "inf"), ("ulm.tok", "boost", "1e400"),
+    *(("ulm.tok", "log-prob", value) for value in ("nan", "inf", "1e400", "1000.0")),
+}
+
+
+@pytest.mark.parametrize("golden, index, field", mutation_sites())
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "1000.0", "-1", "0", "xy", ""],
+                         ids=lambda value: value or "empty")
+def test_mutated_value_loads_or_exits_2_at_its_line(tmp_path, capsys, golden, index, field, value):
+    # every edit loads or exits 2, never 3; a rejected value is reported at
+    # its line, and only the digest or the probability sum fails a whole file
+    lines = (GOLDEN / golden).read_text(encoding="utf-8").splitlines(keepends=True)
+    if field in ("log-prob", "flag"):
+        parts = lines[index].rstrip("\n").split("\t")
+        parts[1 if field == "log-prob" else 2] = value
+        lines[index] = "\t".join(parts) + "\n"
+    else:
+        lines[index] = f"# {field} {value}".rstrip() + "\n"
+    path = tmp_path / golden
+    path.write_text("".join(lines), encoding="utf-8")
+    words = tmp_path / "words.txt"
+    words.write_text("portas amat portamus\n", encoding="utf-8")
+    code = cli.main(["encode", "--artifact", str(path), "--input", str(words)])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    located = err.startswith(f"error: {path}:{index + 1}: ")
+    if (golden, field, value) in LOCATED_MUTANTS:
+        assert code == 2 and located, err
+    elif code == 2:  # or a whole-file fact, which no one line is at fault for
+        fact = "entry probabilities sum to" if field == "log-prob" else "does not match the header's"
+        assert located or fact in err, err
 
 
 class TestDelimiterRule:

@@ -299,6 +299,28 @@ class TestTrain:
             f"warning: {flag} is ignored with --algorithm {algorithm}" for flag in ignored] + plain_err
         assert manifest_line in (files["dir"] / "other.tok.manifest").read_text(encoding="utf-8").splitlines()
 
+    @pytest.mark.parametrize("key, value, problem", [
+        ("shrinking_factor", "7", "shrinking_factor must be in (0, 1), got 7.0"),
+        ("seed_size", "0", "max_piece_length, seed_size and em_iterations_per_round must be positive"),
+        ("sample_fraction", "nan", "sample fraction must be in (0, 1], got nan"),
+        ("sample_fraction", "0", "sample fraction must be in (0, 1], got 0.0"),
+        ("sample_fraction", "1.5", "sample fraction must be in (0, 1], got 1.5"),
+    ])
+    @pytest.mark.parametrize("algorithm", ["wordpiece", "ulm"])
+    def test_bad_option_value_rejected_before_input_is_read(self, tmp_path, capsys, key, value, problem,
+                                                            algorithm):
+        # the corpus does not exist, so only a check at the flag or config
+        # line can report the value; a ULM option is judged under wordpiece too
+        out, flag = tmp_path / "a.tok", "--" + key.replace("_", "-")
+        common = ["train", "--algorithm", algorithm, "--corpus", str(tmp_path / "nope.txt"), "--output", str(out)]
+        assert cli.main(common + [flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {flag}: bad value for {key!r}: {problem}\n"
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"# one option\n{key} {value}\n", encoding="utf-8")
+        assert cli.main(common + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: bad value for {key!r}: {problem}\n"
+        assert not out.exists()
+
     def test_sample_fraction(self, files):
         out = str(files["dir"] / "wp.tok")
         code = cli.main(train_args(files, out, "wordpiece", "baseline",
@@ -512,13 +534,13 @@ class TestEncode:
         assert cli.main(train_args(files, str(path), algorithm, "morphpretok-acontextual")) == 0
         text = path.read_text(encoding="utf-8")
         assert "# morph_delimiter @\n" in text
+        lineno = text.count("\n", 0, text.index("# morph_delimiter @\n")) + 1
         path.write_text(text.replace("# morph_delimiter @\n", "# morph_delimiter xy\n"), encoding="utf-8")
         capsys.readouterr()
         code = cli.main(["encode", "--artifact", str(path), "--input", files["corpus"]])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ")
-        assert "morph delimiter must be one character" in err
+        assert err.startswith(f"error: {path}:{lineno}: morph delimiter must be one character")
 
     def test_sentence_granularity(self, files, artifact):
         out = files["dir"] / "enc.txt"
