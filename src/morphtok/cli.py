@@ -456,7 +456,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except (LoaderError, FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort boundary for exit code 3

@@ -52,19 +52,20 @@ def _normalized_pair(pred, gold):
 def _word_tallies(pred_norm, gold_norm, piece_overlap: bool = False):
     """Integer tallies of one word, both segmentations already normalized:
     ``(exact-match hit, intersection, predicted count, gold count,
-    MorphScore hit, MorphScore scored)``. The counts are of internal
-    boundaries, or of pieces with `piece_overlap`."""
+    MorphScore hit, MorphScore scored, predicted pieces, gold pieces)``.
+    The counts are of internal boundaries, or of pieces with `piece_overlap`."""
     pred_cuts = boundaries(pred_norm)
+    n_pieces, n_gold_pieces = len(pred_norm), len(gold_norm)
     if piece_overlap:
         inter = sum((Counter(pred_norm) & Counter(gold_norm)).values())
-        n_pred, n_gold = len(pred_norm), len(gold_norm)
+        n_pred, n_gold = n_pieces, n_gold_pieces
     else:
         gold_cuts = boundaries(gold_norm)
         inter, n_pred, n_gold = len(pred_cuts & gold_cuts), len(pred_cuts), len(gold_cuts)
     cut = designated_boundary(gold_norm)
-    scored = cut is not None and len(pred_norm) > 1
+    scored = cut is not None and n_pieces > 1
     hit = scored and cut in pred_cuts
-    return int(pred_norm == gold_norm), inter, n_pred, n_gold, int(hit), int(scored)
+    return int(pred_norm == gold_norm), inter, n_pred, n_gold, int(hit), int(scored), n_pieces, n_gold_pieces
 
 
 def exact_match(pred, gold) -> int:
@@ -116,7 +117,7 @@ def morphscore(pred, gold_boundary: int):
     if not 1 <= gold_boundary <= len(word) - 1:
         raise ValueError(f"gold boundary {gold_boundary} out of range for word length {len(word)}")
     gold_norm = [word[:gold_boundary], word[gold_boundary:]]
-    *_, hit, scored = _word_tallies(pred_norm, gold_norm)
+    hit, scored = _word_tallies(pred_norm, gold_norm)[4:6]
     return hit if scored else None
 
 
@@ -171,42 +172,27 @@ def evaluate(
                 f"contextual evaluation requires POS tags; {len(missing)} items lack one ({shown})"
             )
 
-    em_sum = inter_sum = pred_sum = gold_sum = ms_hits = ms_scored = 0
-    pieces_total = 0
-    gold_pieces_total = 0
+    rows = []
     for item in gold_set.items:
         pred = encoder(item.word, item.pos if mode == CONTEXTUAL else None)
-        gold_norm = normalize_pieces(item.pieces)
-        if pred == [UNK_TOKEN]:
-            pred_norm = [item.word]
-        else:
-            pred_norm = normalize_pieces(pred)
-            if "".join(pred_norm) != item.word:
-                raise ValueError(
-                    f"encoder output {pred!r} does not reconstruct word {item.word!r}"
-                )
-        em, inter, n_pred, n_gold, hit, scored = _word_tallies(pred_norm, gold_norm, piece_overlap)
-        em_sum += em
-        inter_sum += inter
-        pred_sum += n_pred
-        gold_sum += n_gold
-        ms_hits += hit
-        ms_scored += scored
-        pieces_total += len(pred_norm)
-        gold_pieces_total += len(gold_norm)
+        pred_norm = [item.word] if pred == [UNK_TOKEN] else normalize_pieces(pred)
+        if "".join(pred_norm) != item.word:
+            raise ValueError(f"encoder output {pred!r} does not reconstruct word {item.word!r}")
+        rows.append(_word_tallies(pred_norm, normalize_pieces(item.pieces), piece_overlap))
 
-    n = len(gold_set.items)
-    precision, recall, f1 = _prf(inter_sum, pred_sum, gold_sum)
+    em, inter, n_pred, n_gold, hits, scored, pieces, gold_pieces = map(sum, zip(*rows))
+    n = len(rows)
+    precision, recall, f1 = _prf(inter, n_pred, n_gold)
     return EvalReport(
         name=name,
         n_words=n,
-        exact_match=em_sum / n,
+        exact_match=em / n,
         boundary_precision=precision,
         boundary_recall=recall,
         boundary_f1=f1,
-        fertility=pieces_total / n,
-        gold_fertility=gold_pieces_total / n,
-        morphscore=ms_hits / ms_scored if ms_scored else None,
+        fertility=pieces / n,
+        gold_fertility=gold_pieces / n,
+        morphscore=hits / scored if scored else None,
     )
 
 
@@ -246,6 +232,18 @@ def _fmt_pct(x: float) -> str:
     return f"{100 * x:.2f}"
 
 
+# (header, report field, cell format) of each column of the extended table
+_COLUMNS = (
+    ("EM", "exact_match", _fmt_pct),
+    ("Recall", "boundary_recall", _fmt_pct),
+    ("Precision", "boundary_precision", _fmt_pct),
+    ("F1", "boundary_f1", _fmt_pct),
+    ("Fertility", "fertility", "{:.4f}".format),
+)
+# the columns of the short table, each with its header there
+_SHORT = {"EM": "EM", "Fertility": "Fert."}
+
+
 def format_comparison(reports, extended: bool = False) -> str:
     """Side-by-side table: EM and fertility, plus boundary metrics when extended.
 
@@ -254,30 +252,12 @@ def format_comparison(reports, extended: bool = False) -> str:
     """
     if not reports:
         raise ValueError("no reports to format")
-    if extended:
-        cols = ["EM", "Recall", "Precision", "F1", "Fertility"]
-        rows = [
-            [
-                r.name,
-                _fmt_pct(r.exact_match),
-                _fmt_pct(r.boundary_recall),
-                _fmt_pct(r.boundary_precision),
-                _fmt_pct(r.boundary_f1),
-                f"{r.fertility:.4f}",
-            ]
-            for r in reports
-        ]
-    else:
-        cols = ["EM", "Fert."]
-        rows = [[r.name, _fmt_pct(r.exact_match), f"{r.fertility:.4f}"] for r in reports]
-    header = ["tokenizer"] + cols
-    widths = [max(len(header[c]), max(len(row[c]) for row in rows)) for c in range(len(header))]
-    lines = [
-        "# exact match macro over gold words; boundary metrics micro-pooled; markers stripped",
-        "  ".join(h.ljust(widths[c]) for c, h in enumerate(header)).rstrip(),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip())
+    cols = _COLUMNS if extended else [(_SHORT[h], key, fmt) for h, key, fmt in _COLUMNS if h in _SHORT]
+    table = [["tokenizer", *(h for h, _, _ in cols)]]
+    table += [[r.name, *(fmt(getattr(r, key)) for _, key, fmt in cols)] for r in reports]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ["# exact match macro over gold words; boundary metrics micro-pooled; markers stripped"]
+    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
     gold_ferts = {f"{r.gold_fertility:.4f}" for r in reports}
     lines.append(f"# gold fertility {', '.join(sorted(gold_ferts))} over {reports[0].n_words} words")
     return "\n".join(lines) + "\n"

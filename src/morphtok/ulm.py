@@ -69,6 +69,8 @@ class UlmTrainerConfig:
 
     def __post_init__(self):
         check_delimiter(self.morph_delimiter)
+        if self.vocab_size < 1:
+            raise ValueError(f"vocab_size must be positive, got {self.vocab_size}")
         if not math.isfinite(self.seed_weight):
             raise ValueError(f"seed_weight must be finite, got {self.seed_weight}")
         if not 0 < self.shrinking_factor < 1:

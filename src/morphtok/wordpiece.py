@@ -58,6 +58,10 @@ class WpTrainerConfig:
 
     def __post_init__(self):
         check_delimiter(self.morph_delimiter)
+        if self.vocab_size < 1:
+            raise ValueError(f"vocab_size must be positive, got {self.vocab_size}")
+        if self.min_pair_frequency < 1:
+            raise ValueError(f"min_pair_frequency must be positive, got {self.min_pair_frequency}")
 
 
 @dataclass
@@ -139,7 +143,7 @@ def wp_train(corpus: Corpus, cfg: WpTrainerConfig) -> WpVocabulary:
     def current(key):
         return key[2] in pair_counts and heap_key(key[2]) == key
 
-    min_pc = max(cfg.min_pair_frequency, 1)  # a live pair occurs at least once
+    min_pc = cfg.min_pair_frequency
     heap: list = []
     while len(vocab) < cfg.vocab_size:
         if not heap or len(heap) > 4 * len(pair_counts):  # mostly stale keys: rebuild

@@ -539,18 +539,3 @@ def em_step_oracle(word_freqs, probs):
     total = sum(counts.values())
     new_probs = {p: c / total for p, c in counts.items()}
     return counts, new_probs
-
-
-def marginal_log_likelihood(word_freqs, probs):
-    """Exact corpus marginal sum(freq * log P(word)) left in Fraction-of-logs
-    form is impossible; return the per-word marginal probabilities instead."""
-    out = {}
-    for word in word_freqs:
-        z = Fraction(0)
-        for seq in enumerate_segmentations(word, probs):
-            w = Fraction(1)
-            for piece in seq:
-                w *= probs[piece]
-            z += w
-        out[word] = z
-    return out

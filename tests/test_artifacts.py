@@ -309,6 +309,8 @@ def mutation_sites():
 # rejects, a non-finite boost, and log-probs that are NaN or above 0
 LOCATED_MUTANTS = {
     ("wp.tok", "morph_delimiter", "xy"), ("ulm.tok", "seed_weight", "inf"), ("ulm.tok", "boost", "1e400"),
+    *((golden, field, value) for golden, field in (("wp.tok", "vocab_size"), ("wp.tok", "min_pair_frequency"),
+                                                    ("ulm.tok", "vocab_size")) for value in ("-1", "0")),
     *(("ulm.tok", "log-prob", value) for value in ("nan", "inf", "1e400", "1000.0")),
 }
 

@@ -302,6 +302,8 @@ class TestTrain:
     @pytest.mark.parametrize("key, value, problem", [
         ("shrinking_factor", "7", "shrinking_factor must be in (0, 1), got 7.0"),
         ("seed_size", "0", "max_piece_length, seed_size and em_iterations_per_round must be positive"),
+        ("vocab_size", "-5", "vocab_size must be positive, got -5"),
+        ("min_pair_frequency", "-3", "min_pair_frequency must be positive, got -3"),
         ("sample_fraction", "nan", "sample fraction must be in (0, 1], got nan"),
         ("sample_fraction", "0", "sample fraction must be in (0, 1], got 0.0"),
         ("sample_fraction", "1.5", "sample fraction must be in (0, 1], got 1.5"),

@@ -306,6 +306,25 @@ class TestFormatComparison:
         for col in ("Recall", "Precision", "F1", "Fertility"):
             assert col in header
 
+    def test_exact_table_text(self):
+        # a name wider than every cell, and a report with no MorphScore
+        reports = [
+            EvalReport("wordpiece-morphpretok-contextual", 3, 2 / 3, 0.75, 0.5, 0.6, 5 / 3, 2.0, 0.5),
+            EvalReport("ulm", 3, 0.0, 1.0, 0.0, 0.0, 1.0, 1.5),
+        ]
+        note = "# exact match macro over gold words; boundary metrics micro-pooled; markers stripped\n"
+        gold = "# gold fertility 1.5000, 2.0000 over 3 words\n"
+        assert format_comparison(reports) == note + (
+            "tokenizer                         EM     Fert.\n"
+            "wordpiece-morphpretok-contextual  66.67  1.6667\n"
+            "ulm                               0.00   1.0000\n"
+        ) + gold
+        assert format_comparison(reports, extended=True) == note + (
+            "tokenizer                         EM     Recall  Precision  F1     Fertility\n"
+            "wordpiece-morphpretok-contextual  66.67  50.00   75.00      60.00  1.6667\n"
+            "ulm                               0.00   0.00    100.00     0.00   1.0000\n"
+        ) + gold
+
     def test_aggregation_note_present(self):
         text = format_comparison(self.reports())
         assert text.splitlines()[0].startswith("#")
