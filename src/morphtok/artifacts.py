@@ -61,16 +61,17 @@ _DECODE = {int: int, float: float, bool: {"1": True, "0": False}.__getitem__, st
 def config_fields(config_class) -> tuple[tuple[str, type, object], ...]:
     """``(name, type, default)`` of each trainer option, in declaration order.
 
-    These are the artifact header keys and the ``train`` CLI options; a
-    field with ``metadata={"option": False}`` is neither. Computed once
-    per class, since every save, load and digest reads them.
+    These are the artifact header keys and the ``train`` CLI options.
+    Computed once per class, since every save, load and digest reads them.
     """
     types = typing.get_type_hints(config_class)
-    return tuple(
-        (f.name, types[f.name], f.default)
-        for f in dataclasses.fields(config_class)
-        if f.metadata.get("option", True)
-    )
+    return tuple((f.name, types[f.name], f.default) for f in dataclasses.fields(config_class))
+
+
+def text_delimiter(model) -> str:
+    """The delimiter `model`'s text is escaped and presegmented with: its config's,
+    else the default, as ``train`` escapes a corpus it does not presegment."""
+    return model.config.morph_delimiter or DEFAULT_DELIMITER
 
 
 def _header_pairs(model) -> list[tuple[str, str]]:
@@ -233,7 +234,7 @@ def word_encoder(
             "encoding raw words without presegmentation"
         )
         mode = None
-    delimiter = model.config.morph_delimiter
+    delimiter = text_delimiter(model)
     contextual = mode == CONTEXTUAL
 
     def encode(word: str, pos: str | None = None) -> list[str]:
@@ -243,7 +244,7 @@ def word_encoder(
                 lexicon,
                 pos=pos if contextual else None,
                 mapping=pos_mapping,
-                delimiter=delimiter or DEFAULT_DELIMITER,
+                delimiter=delimiter,
             )
         return model.encode_word(word)
 

@@ -188,14 +188,14 @@ def cmd_train(args) -> int:
         if name in reads and not getattr(args, name):
             raise ValueError(f"guidance {guidance!r} requires {_flag(name)}")
     _warn_unread(args, reads, f"guidance {guidance!r}")
-    # an artifact without presegmentation records no delimiter: `encode` escapes "@"
+    # an artifact without presegmentation records no delimiter: "@" escapes text (artifacts.text_delimiter)
     delimiter = opt["morph_delimiter"] if mode else DEFAULT_DELIMITER
     if delimiter != opt["morph_delimiter"]:
         _warn(f"--morph-delimiter is ignored with guidance {guidance!r}")
 
     lexicon = _load_checked_lexicon(args.lexicon, delimiter) if "lexicon" in reads else None
     mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping and "pos_mapping" in reads else None
-    suffixes = load_suffixes(args.suffixes) if "suffixes" in reads else None
+    suffixes = load_suffixes(args.suffixes, opt["lowercase"], delimiter) if "suffixes" in reads else ()
     if "suffixes" in reads and not suffixes:  # else morphseed trains the baseline under its name
         raise LoaderError(f"{args.suffixes}: no suffix, only blank or comment lines")
 
@@ -206,13 +206,12 @@ def cmd_train(args) -> int:
     options = {name: opt[name] for name, _, _ in artifacts.config_fields(config_class)}
     # only presegmented training data carries delimiters
     options["morph_delimiter"] = delimiter if mode else None
-    seed_suffixes = tuple(suffixes) if suffixes else None
-    cfg = config_class(**options, seed_suffixes=seed_suffixes)
+    cfg = config_class(**options)
     if args.algorithm == "wordpiece":
-        vocab = wordpiece.wp_train(training, cfg)
+        vocab = wordpiece.wp_train(training, cfg, seed_suffixes=suffixes)
         model = wordpiece.WordPieceTokenizer(vocab, cfg, guidance)
     else:
-        vocab = ulm.ulm_train(training, cfg)
+        vocab = ulm.ulm_train(training, cfg, seed_suffixes=suffixes)
         model = ulm.UlmTokenizer(vocab, cfg, guidance)
 
     if len(vocab) < cfg.vocab_size:
@@ -236,7 +235,7 @@ def cmd_train(args) -> int:
     if lexicon is not None:
         lines.append(f"lexicon {args.lexicon}")
         lines.append(f"lexicon_sha256 {_sha256(args.lexicon)}")
-    if suffixes is not None:
+    if "suffixes" in reads:
         lines.append(f"suffixes {args.suffixes}")
         lines.append(f"suffixes_sha256 {_sha256(args.suffixes)}")
     if mode:
@@ -282,7 +281,7 @@ ENCODE_MEMO_CHARS = 1 << 20
 def _artifact_lexicon(path, model, loaded: dict):
     """The lexicon at `path`, read with the delimiter `model` presegments
     with; `loaded` keeps one per delimiter."""
-    delimiter = model.config.morph_delimiter or DEFAULT_DELIMITER
+    delimiter = artifacts.text_delimiter(model)
     if delimiter not in loaded:
         source = "the artifact's" if model.config.morph_delimiter else "the default"
         loaded[delimiter] = _load_checked_lexicon(path, delimiter, f"{source} morph delimiter")
@@ -295,7 +294,7 @@ def cmd_encode(args) -> int:
     mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping else None
     encoder = artifacts.word_encoder(model, lexicon, mapping, on_warning=_warn)
 
-    delimiter = model.config.morph_delimiter or DEFAULT_DELIMITER
+    delimiter = artifacts.text_delimiter(model)
     streaming = args.input == "-"
     source = "<stdin>" if streaming else args.input
     if streaming:  # one line at a time, decoded as strictly as a file

@@ -298,21 +298,20 @@ def load_lexicon(path, delimiter: str = DEFAULT_DELIMITER) -> MorphLexicon:
     return lexicon
 
 
-def load_suffixes(path) -> list[str]:
-    """Load a suffix list, one per line; duplicates are skipped, order kept."""
-    suffixes: list[str] = []
-    seen = set()
+def load_suffixes(path, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITER) -> list[str]:
+    """Load a suffix list, one per line, each optionally lowercased and then
+    escaped as a corpus word is; duplicates after that are skipped, order kept."""
+    suffixes: dict[str, None] = {}
     for lineno, line in iter_lines(path):
         suffix = line.strip()
         if not suffix or suffix.startswith("#"):
             continue
         if any(ch.isspace() for ch in suffix):
             raise loader_error(path, lineno, f"suffix contains whitespace: {suffix!r}")
-        if suffix in seen:
-            continue
-        seen.add(suffix)
-        suffixes.append(suffix)
-    return suffixes
+        if lowercase:
+            suffix = suffix.lower()
+        suffixes[escape_delimiter(suffix, delimiter)] = None
+    return list(suffixes)
 
 
 def load_pos_mapping(path) -> dict[str, tuple[str, ...]]:

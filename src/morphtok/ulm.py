@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import UNK_TOKEN, Corpus, check_delimiter, morph_segments, prefix_trie
 
@@ -54,15 +54,14 @@ NEG_INF = float("-inf")
 
 @dataclass
 class UlmTrainerConfig:
-    """Trainer options; the field order is the artifact header order, as for
-    :class:`morphtok.wordpiece.WpTrainerConfig`."""
+    """Trainer options, each a ``train`` CLI option, a config file key and an
+    artifact header key in this order, as for :class:`morphtok.wordpiece.WpTrainerConfig`."""
 
     vocab_size: int = 30000
     shrinking_factor: float = 0.75
     seed_size: int = 1_000_000
     max_piece_length: int = 16
     em_iterations_per_round: int = 2
-    seed_suffixes: tuple[str, ...] | None = field(default=None, metadata={"option": False})
     seed_weight: float = 0.5
     exact_pruning: bool = False
     morph_delimiter: str | None = None
@@ -522,16 +521,17 @@ def _prune(vocab, unit_counts, index, cfg: UlmTrainerConfig, exempt):
     return {p: lp for p, lp in log_probs.items() if p not in drop}
 
 
-def ulm_train(corpus: Corpus, cfg: UlmTrainerConfig) -> UlmVocabulary:
-    """Train a unigram LM vocabulary down to cfg.vocab_size entries."""
+def ulm_train(corpus: Corpus, cfg: UlmTrainerConfig, *, seed_suffixes=()) -> UlmVocabulary:
+    """Train a unigram LM vocabulary down to cfg.vocab_size entries; each of
+    `seed_suffixes` is seeded, protected from pruning and boosted."""
     word_freqs = corpus.word_counts()
     if not word_freqs:
         raise ValueError("cannot train on an empty corpus")
     unit_counts = _split_units(word_freqs, cfg.morph_delimiter)
 
-    protected = tuple(dict.fromkeys(cfg.seed_suffixes)) if cfg.seed_suffixes else ()
+    protected = frozenset(seed_suffixes)
     chars = {ch for unit in unit_counts for ch in unit}
-    exempt = chars | set(protected)
+    exempt = chars | protected
     if cfg.vocab_size < len(exempt):
         raise ValueError(
             f"vocab_size {cfg.vocab_size} is below the characters + protected count ({len(exempt)})"
@@ -550,7 +550,7 @@ def ulm_train(corpus: Corpus, cfg: UlmTrainerConfig) -> UlmVocabulary:
             edges[:] = [x for pair in zip(it, it) if pair[0] in log_probs for x in pair]
 
     boost = cfg.seed_weight if protected else 0.0
-    return UlmVocabulary(log_probs, frozenset(protected), boost)
+    return UlmVocabulary(log_probs, protected, boost)
 
 
 @dataclass

@@ -47,13 +47,12 @@ from .corpus import CONTINUATION_PREFIX, UNK_TOKEN, Corpus, check_delimiter, mor
 
 @dataclass
 class WpTrainerConfig:
-    """Trainer options. Each field is a ``train`` CLI option and an artifact
-    header key, in this order (see :func:`morphtok.artifacts.config_fields`);
-    ``option: False`` marks the one input that comes from a file instead."""
+    """Trainer options. Each field is a ``train`` CLI option, a config file key and an
+    artifact header key, in this order (see :func:`morphtok.artifacts.config_fields`);
+    the corpus and the seed suffixes are trainer input, passed beside the config."""
 
     vocab_size: int = 30000
     min_pair_frequency: int = 2
-    seed_suffixes: tuple[str, ...] | None = field(default=None, metadata={"option": False})
     morph_delimiter: str | None = None
 
     def __post_init__(self):
@@ -95,8 +94,8 @@ def _word_units(word: str, freq: int, delimiter: str | None):
     return units
 
 
-def wp_train(corpus: Corpus, cfg: WpTrainerConfig) -> WpVocabulary:
-    """Train a WordPiece vocabulary.
+def wp_train(corpus: Corpus, cfg: WpTrainerConfig, *, seed_suffixes=()) -> WpVocabulary:
+    """Train a WordPiece vocabulary; each of `seed_suffixes` enters it as a "##" entry.
 
     Merging stops when the vocabulary reaches cfg.vocab_size or no
     remaining pair occurs at least cfg.min_pair_frequency times.
@@ -114,9 +113,7 @@ def wp_train(corpus: Corpus, cfg: WpTrainerConfig) -> WpVocabulary:
         for s in symbols:  # one character, bare or "##"-prefixed: add both forms
             vocab.add(s[-1])
             vocab.add(CONTINUATION_PREFIX + s[-1])
-    if cfg.seed_suffixes:
-        for suffix in cfg.seed_suffixes:
-            vocab.add(CONTINUATION_PREFIX + suffix)
+    vocab.update(CONTINUATION_PREFIX + suffix for suffix in seed_suffixes)
     if cfg.vocab_size < len(vocab):
         raise ValueError(
             f"vocab_size {cfg.vocab_size} is smaller than the initial inventory "

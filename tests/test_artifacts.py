@@ -32,10 +32,8 @@ def wp_model():
 
 def ulm_model():
     corpus = Corpus([["portas", "portat", "amat"]] * 3)
-    cfg = UlmTrainerConfig(
-        vocab_size=14, seed_size=60, max_piece_length=6, seed_suffixes=("as", "at")
-    )
-    return UlmTokenizer(ulm_train(corpus, cfg), cfg, "morphseed")
+    cfg = UlmTrainerConfig(vocab_size=14, seed_size=60, max_piece_length=6)
+    return UlmTokenizer(ulm_train(corpus, cfg, seed_suffixes=("as", "at")), cfg, "morphseed")
 
 
 def assert_load_fails(tmp_path, capsys, path, message):
@@ -94,6 +92,15 @@ class TestRoundTrip:
         assert loaded.vocab.protected == model.vocab.protected
         assert loaded.vocab.boost == model.vocab.boost
         assert loaded.config.shrinking_factor == model.config.shrinking_factor
+
+    @pytest.mark.parametrize("make", [wp_model, ulm_model], ids=["wordpiece", "ulm-morphseed"])
+    def test_loaded_model_equals_trained(self, tmp_path, make):
+        # the artifact holds the whole model: config, guidance and vocabulary,
+        # with the seeded ULM's protected entries and boost
+        model = make()
+        path = tmp_path / "a.tok"
+        save_tokenizer(model, path)
+        assert load_tokenizer(path) == model
 
     def test_negative_infinity_round_trips(self, tmp_path):
         vocab = UlmVocabulary({"a": 0.0, "zz": float("-inf")})

@@ -277,6 +277,21 @@ class TestTrain:
         assert not out.exists()
         assert not (files["dir"] / "seeded.tok.manifest").exists()
 
+    def test_suffixes_read_as_the_corpus_is(self, files):
+        # lowercased with --lowercase and "@" escaped, as corpus words are, so
+        # every seed is a piece the training words can reach
+        Path(files["corpus"]).write_text(CORPUS.upper() + "A@B A@B\n", encoding="utf-8")
+        Path(files["suffixes"]).write_text("AS\nAt\na@b\n", encoding="utf-8")
+        wp, unigram = files["dir"] / "wp.tok", files["dir"] / "ulm.tok"
+        assert cli.main(train_args(files, str(wp), "wordpiece", "morphseed", "--lowercase")) == 0
+        assert cli.main(train_args(files, str(unigram), "ulm", "morphseed", "--lowercase")) == 0
+        entries = artifacts.load_tokenizer(wp).vocab.entries
+        assert {"##as", "##at", "##a\\@b"} <= entries
+        assert not {"##AS", "##At", "##a@b"} & entries
+        vocab = artifacts.load_tokenizer(unigram).vocab
+        assert vocab.protected == {"as", "at", "a\\@b"}
+        assert all(vocab.log_probs[suffix] > float("-inf") for suffix in vocab.protected)
+
     @pytest.mark.parametrize("algorithm, flags, config_line, ignored, manifest_line", [
         ("wordpiece", ["--seed-size", "5", "--exact-pruning"], "shrinking-factor 0.3",
          ["--exact-pruning", "--seed-size", "--shrinking-factor"], "option_seed_size 5"),

@@ -64,10 +64,6 @@ def write_inputs(directory: Path, delimiter: str = "@") -> None:
     (directory / "suffixes.txt").write_text(SUFFIXES, encoding="utf-8")
 
 
-def option_fields(config_class):
-    return [f for f in dataclasses.fields(config_class) if f.metadata.get("option", True)]
-
-
 def other_value(field):
     """A value of the field's type that differs from its default."""
     default = field.default
@@ -104,9 +100,13 @@ def test_golden_artifact_and_manifest_bytes(name, tmp_path, monkeypatch):
 def test_train_options_unchanged():
     assert {key: default for key, (_, default) in cli.TRAIN_OPTIONS.items()} == TRAIN_DEFAULTS
     for config_class in (WpTrainerConfig, UlmTrainerConfig):
-        options = option_fields(config_class)
-        others = [f.name for f in dataclasses.fields(config_class) if f not in options]
-        assert others == ["seed_suffixes"]  # read from the --suffixes file
+        # every field is an option: a flag, a config key and a header key; the
+        # corpus and the suffix list are trainer input beside the config
+        fields = dataclasses.fields(config_class)
+        assert not any(f.metadata for f in fields)
+        names = [f.name for f in fields]
+        assert [name for name, _, _ in artifacts.config_fields(config_class)] == names
+        assert set(names) <= cli.TRAIN_OPTIONS.keys()
 
 
 @pytest.mark.parametrize("algorithm", ["wordpiece", "ulm"])
@@ -114,7 +114,7 @@ def test_every_field_reaches_header_digest_and_cli(algorithm, tmp_path, monkeypa
     config_class = artifacts.CONFIG_CLASSES[algorithm]
     base_digest = artifacts.config_digest(model_with(config_class))
     monkeypatch.chdir(tmp_path)
-    for field in option_fields(config_class):
+    for field in dataclasses.fields(config_class):
         value = other_value(field)
         model = model_with(config_class, **{field.name: value})
 

@@ -294,6 +294,13 @@ class TestSuffixes:
         path = write(tmp_path, "s.txt", "orum\nae\n# comment\norum\nus\n")
         assert load_suffixes(path) == ["orum", "ae", "us"]
 
+    def test_read_as_corpus_words_are(self, tmp_path):
+        # optionally lowercased, then the delimiter escaped, then de-duplicated
+        path = write(tmp_path, "s.txt", "AS\nas\nA@b\na@b\nx#y\n")
+        assert load_suffixes(path) == ["AS", "as", "A\\@b", "a\\@b", "x#y"]
+        assert load_suffixes(path, lowercase=True) == ["as", "a\\@b", "x#y"]
+        assert load_suffixes(path, True, "#") == ["as", "a@b", "x\\#y"]
+
     def test_whitespace_is_fatal(self, tmp_path):
         path = write(tmp_path, "s.txt", "or um\n")
         with pytest.raises(LoaderError, match="whitespace"):

@@ -620,10 +620,10 @@ def first_pruning_round(seeded):
     def stop(*args):
         raise FirstPrune(*args)
 
-    suffixes = tuple(load_suffixes(MINI / "suffixes.txt")) if seeded else None
+    suffixes = load_suffixes(MINI / "suffixes.txt") if seeded else ()
     with pytest.MonkeyPatch.context() as patch, pytest.raises(FirstPrune) as stopped:
         patch.setattr(ulm, "_prune", stop)
-        ulm_train(load_corpus(MINI / "corpus.txt"), replace(MINI_ULM, seed_suffixes=suffixes))
+        ulm_train(load_corpus(MINI / "corpus.txt"), MINI_ULM, seed_suffixes=suffixes)
     return stopped.value.args
 
 
@@ -726,9 +726,9 @@ class TestPruning:
             sizes.append(len(log_probs))
             return em_step_units(unit_counts, log_probs, index)
 
-        suffixes = tuple(load_suffixes(MINI / "suffixes.txt")) if seeded else None
+        suffixes = load_suffixes(MINI / "suffixes.txt") if seeded else ()
         monkeypatch.setattr(ulm, "_em_step_units", checked)
-        vocab = ulm_train(load_corpus(MINI / "corpus.txt"), replace(MINI_ULM, seed_suffixes=suffixes))
+        vocab = ulm_train(load_corpus(MINI / "corpus.txt"), MINI_ULM, seed_suffixes=suffixes)
         assert sizes[-1] == len(vocab)
         assert len(set(sizes)) > 3  # pruning rounds the index was carried through
 
@@ -828,16 +828,11 @@ class TestTraining:
 
     def test_protected_suffixes_survive_aggressive_pruning(self):
         corpus = Corpus([["portas", "portat", "portamus", "amat"]] * 10)
-        cfg = UlmTrainerConfig(
-            vocab_size=12,
-            seed_size=500,
-            max_piece_length=8,
-            seed_suffixes=("as", "at", "amus"),
-            shrinking_factor=0.5,
-        )
-        vocab = ulm_train(corpus, cfg)
-        assert vocab.protected == {"as", "at", "amus"}
-        for suffix in cfg.seed_suffixes:
+        cfg = UlmTrainerConfig(vocab_size=12, seed_size=500, max_piece_length=8, shrinking_factor=0.5)
+        suffixes = ("as", "at", "amus")
+        vocab = ulm_train(corpus, cfg, seed_suffixes=suffixes)
+        assert vocab.protected == set(suffixes)
+        for suffix in suffixes:
             assert suffix in vocab.log_probs
         assert vocab.boost == 0.5
 
@@ -849,7 +844,8 @@ class TestTraining:
     def test_seeded_suffix_absent_from_corpus_still_present(self):
         vocab = ulm_train(
             Corpus([["portas"]] * 3),
-            UlmTrainerConfig(vocab_size=12, seed_size=50, max_piece_length=6, seed_suffixes=("orum",)),
+            UlmTrainerConfig(vocab_size=12, seed_size=50, max_piece_length=6),
+            seed_suffixes=("orum",),
         )
         assert "orum" in vocab.log_probs
 

@@ -57,11 +57,8 @@ class TestTraining:
             train([])
 
     def test_seeded_suffixes_present_as_continuations(self):
-        vocab = train(
-            [["portas", "portat"]],
-            vocab_size=40,
-            seed_suffixes=("orum", "ibus"),
-        )
+        cfg = WpTrainerConfig(vocab_size=40)
+        vocab = wp_train(Corpus([["portas", "portat"]]), cfg, seed_suffixes=("orum", "ibus"))
         assert "##orum" in vocab.entries
         assert "##ibus" in vocab.entries
         # seeds count toward the initial inventory but never appear bare
@@ -85,14 +82,14 @@ def training_case(draw):
     segment = st.text(alphabet=alphabet, min_size=1, max_size=6)
     word = st.lists(segment, min_size=1, max_size=3 if delimiter else 1).map("@".join)
     sentences = draw(st.lists(st.lists(word, min_size=1, max_size=5), min_size=1, max_size=6))
-    seeds = draw(st.none() | st.lists(st.text(alphabet=alphabet, min_size=2, max_size=4),
+    seeds = draw(st.just(()) | st.lists(st.text(alphabet=alphabet, min_size=2, max_size=4),
                                       min_size=1, max_size=3, unique=True).map(tuple))
     min_pair_frequency = draw(st.integers(1, 3))
     word_counts = Corpus(sentences).word_counts()
     initial = len(wp_train_oracle(word_counts, 0, min_pair_frequency, seeds, delimiter))
     final = len(wp_train_oracle(word_counts, 10**9, min_pair_frequency, seeds, delimiter))
     vocab_size = draw(st.integers(initial, final + 2))
-    return sentences, WpTrainerConfig(vocab_size, min_pair_frequency, seeds, delimiter)
+    return sentences, WpTrainerConfig(vocab_size, min_pair_frequency, delimiter), seeds
 
 
 class TestTrainOracle:
@@ -100,14 +97,14 @@ class TestTrainOracle:
     merges; equal vocabularies at every size pin the merge order."""
 
     @given(training_case())
-    @example(([["aaaa", "abab"], ["xabab", "abab"]], WpTrainerConfig(12, 1)))
-    @example(([["ab@abab", "abab@ab"], ["aaaa@aa"]], WpTrainerConfig(11, 1, None, "@")))
+    @example(([["aaaa", "abab"], ["xabab", "abab"]], WpTrainerConfig(12, 1), ()))
+    @example(([["ab@abab", "abab@ab"], ["aaaa@aa"]], WpTrainerConfig(11, 1, "@"), ()))
     @settings(max_examples=400, deadline=None)
     def test_matches_reference(self, case):
-        sentences, cfg = case
+        sentences, cfg, seeds = case
         expected = wp_train_oracle(Corpus(sentences).word_counts(), cfg.vocab_size,
-                                   cfg.min_pair_frequency, cfg.seed_suffixes, cfg.morph_delimiter)
-        assert wp_train(Corpus(sentences), cfg).entries == expected
+                                   cfg.min_pair_frequency, seeds, cfg.morph_delimiter)
+        assert wp_train(Corpus(sentences), cfg, seed_suffixes=seeds).entries == expected
 
     # entries when merging runs out of pairs (as at the recorded vocab_size 1200)
     EXHAUSTED = {"baseline": 686, "morphseed": 691, "morphpretok-acontextual": 281}
@@ -118,14 +115,14 @@ class TestTrainOracle:
         # the recorded artifacts all stop when no pair is left; these stop
         # on vocab_size mid-run, except presegmented ones above 281
         training = corpus.load_corpus(MINI / "corpus.txt")
-        seeds = delimiter = None
+        seeds, delimiter = (), None
         if guidance == "morphseed":
             seeds = tuple(corpus.load_suffixes(MINI / "suffixes.txt"))
         elif guidance == "morphpretok-acontextual":
             delimiter = "@"
             training = presegment.presegment_acontextual(training, corpus.load_lexicon(MINI / "lexicon.tsv"), "@")
-        cfg = WpTrainerConfig(vocab_size, seed_suffixes=seeds, morph_delimiter=delimiter)
-        entries = wp_train(training, cfg).entries
+        cfg = WpTrainerConfig(vocab_size, morph_delimiter=delimiter)
+        entries = wp_train(training, cfg, seed_suffixes=seeds).entries
         assert len(entries) == min(vocab_size, self.EXHAUSTED[guidance])
         assert entries == wp_train_oracle(training.word_counts(), vocab_size, 2, seeds, delimiter)
 
