@@ -14,6 +14,8 @@ import sys
 from . import artifacts, evaluation, presegment, ulm, wordpiece
 from .corpus import (
     DEFAULT_DELIMITER,
+    ENCODE_MEMO_CAP,
+    ENCODE_MEMO_CHARS,
     check_sample_fraction,
     corpus_sentences,
     decode_lines,
@@ -270,14 +272,6 @@ def cmd_presegment(args) -> int:
     return 0
 
 
-# the most distinct (word, tag) inputs whose output text `encode` keeps, and
-# the most characters (word plus text) it keeps for them; a word that would
-# overrun either is encoded again when it recurs, so memory stays bounded on
-# endless input however long its words
-ENCODE_MEMO_CAP = 1 << 16
-ENCODE_MEMO_CHARS = 1 << 20
-
-
 def _artifact_lexicon(path, model, loaded: dict):
     """The lexicon at `path`, read with the delimiter `model` presegments
     with; `loaded` keeps one per delimiter."""
@@ -301,27 +295,27 @@ def cmd_encode(args) -> int:
         lines = decode_lines((raw.rstrip(b"\n") for raw in sys.stdin.buffer), source)
     else:
         lines = iter_lines(source)
+    # a token is a (word, tag) pair of tagged input, else the word itself
     if args.tagged:  # a blank line ends each sentence
         sentences = tagged_sentences(lines, source, args.lowercase, delimiter)
     else:
-        words = corpus_sentences(lines, args.lowercase, delimiter)
-        sentences = ([(w, None) for w in s] for s in words)
+        sentences = corpus_sentences(lines, args.lowercase, delimiter)
 
-    # a word's output text depends only on (word, tag); every word yields at
+    # a token's output text depends only on the token; every word yields at
     # least one piece, so a line is its words' texts joined with spaces
-    memo: dict[tuple[str, str | None], str] = {}
+    memo: dict[str | tuple[str, str], str] = {}
     held = 0  # characters in the memo's words and texts
 
     def render(token) -> str:
         nonlocal held
         text = memo.get(token)
         if text is None:
-            pieces = encoder(*token)
+            pieces = encoder(*token) if args.tagged else encoder(token)
             if args.strip_markers:
                 pieces = ["".join(normalize_pieces(pieces))]
             # the joining spaces neither form nor split an escaped delimiter
             text = unescape_delimiter(" ".join(pieces), delimiter)
-            size = len(token[0]) + len(text)
+            size = len(token[0] if args.tagged else token) + len(text)
             if len(memo) < ENCODE_MEMO_CAP and held + size <= ENCODE_MEMO_CHARS:
                 memo[token] = text
                 held += size

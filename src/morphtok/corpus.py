@@ -98,12 +98,13 @@ def prefix_trie(entries) -> dict:
 
 def decode_lines(raw_lines, source):
     """Yield (lineno, text) pairs from byte lines without their "\\n",
-    decoding per line so errors carry a location in `source`."""
+    decoding per line so errors carry a location in `source`; a byte-order
+    mark that starts line 1 is dropped."""
     for lineno, raw in enumerate(raw_lines, start=1):
         if raw.endswith(b"\r"):
             raw = raw[:-1]
         try:
-            yield lineno, raw.decode("utf-8")
+            yield lineno, raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
         except UnicodeDecodeError as exc:
             raise loader_error(source, lineno, f"invalid UTF-8 ({exc.reason})") from None
 
@@ -114,7 +115,7 @@ def iter_lines(path):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError:  # yields the lines before the bad one, then locates it
         return decode_lines(data.split(b"\n"), path)
     lines = text.split("\n")
@@ -177,7 +178,8 @@ class TaggedCorpus:
     """Sentences of (word, UD tag) pairs; treat as read-only after construction.
 
     A loaded corpus holds one tuple per (word, tag) type: every token of a
-    type is the same object, however often it occurs.
+    type is the same object, however often it occurs. Only a type first read
+    after the memo of :func:`tagged_sentences` is full has a tuple per token.
     """
 
     sentences: list[list[tuple[str, str]]]
@@ -190,32 +192,56 @@ class TaggedCorpus:
         return sum(len(s) for s in self.sentences)
 
 
+# the most distinct inputs a memo of `encode`'s output texts or of parsed
+# tagged rows keeps, and the most characters it keeps for them; an input that
+# would overrun either is worked out again when it recurs, so memory stays
+# bounded on endless input however long its lines
+ENCODE_MEMO_CAP = 1 << 16
+ENCODE_MEMO_CHARS = 1 << 20
+
+
 def tagged_sentences(lines, source, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITER):
     """Sentences of (word, UD tag) pairs from ``(lineno, text)`` pairs of
     ``word<TAB>UD_POS`` rows, each yielded at the blank line that ends it;
-    errors are located at ``source:lineno``."""
+    errors are located at ``source:lineno``. Tokens of one (word, tag) type
+    share one tuple, until the memo of parsed rows is full."""
+    # a valid row's text -> its pair, so a repeated row costs one lookup; a
+    # bad row is never kept, so it fails at its own line. `pairs` shares one
+    # tuple among rows that differ only in whitespace, or case under `lowercase`
+    rows: dict[str, tuple[str, str]] = {}
+    pairs: dict[tuple[str, str], tuple[str, str]] = {}
+    held = 0  # characters in the kept rows' texts and words
     current: list[tuple[str, str]] = []
     for lineno, line in lines:
-        if not line.strip():
-            if current:
-                yield current
-                current = []
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise loader_error(source, lineno, f"expected 2 tab-separated fields, got {len(parts)}")
-        word, tag = parts[0].strip(), parts[1].strip()
-        if not word:
-            raise loader_error(source, lineno, "empty word")
-        # as in a plain corpus, which is split on it, no word holds whitespace;
-        # no whitespace is alphanumeric, so most words need no split
-        if not word.isalnum() and word.split() != [word]:
-            raise loader_error(source, lineno, f"word contains whitespace: {word!r}")
-        if tag not in UD_TAGS:
-            raise loader_error(source, lineno, f"unknown UD POS tag: {tag!r}")
-        if lowercase:
-            word = word.lower()
-        current.append((escape_delimiter(word, delimiter), tag))
+        pair = rows.get(line)
+        if pair is None:
+            if not line.strip():
+                if current:
+                    yield current
+                    current = []
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise loader_error(source, lineno, f"expected 2 tab-separated fields, got {len(parts)}")
+            word, tag = parts[0].strip(), parts[1].strip()
+            if not word:
+                raise loader_error(source, lineno, "empty word")
+            # as in a plain corpus, which is split on it, no word holds whitespace;
+            # no whitespace is alphanumeric, so most words need no split
+            if not word.isalnum() and word.split() != [word]:
+                raise loader_error(source, lineno, f"word contains whitespace: {word!r}")
+            if tag not in UD_TAGS:
+                raise loader_error(source, lineno, f"unknown UD POS tag: {tag!r}")
+            if lowercase:
+                word = word.lower()
+            pair = (escape_delimiter(word, delimiter), tag)
+            size = len(line) + len(pair[0])
+            if len(rows) < ENCODE_MEMO_CAP and held + size <= ENCODE_MEMO_CHARS:
+                pair = rows[line] = pairs.setdefault(pair, pair)
+                held += size
+            else:
+                pair = pairs.get(pair, pair)
+        current.append(pair)
     if current:
         yield current
 
@@ -224,8 +250,8 @@ def load_tagged_corpus(
     path, lowercase: bool = False, delimiter: str = DEFAULT_DELIMITER
 ) -> TaggedCorpus:
     """Load a POS-tagged corpus: ``word<TAB>UD_POS`` rows, blank line between
-    sentences. Tokens of one (word, tag) type share one tuple."""
-    return TaggedCorpus(_shared_types(tagged_sentences(iter_lines(path), path, lowercase, delimiter)))
+    sentences, read as :func:`tagged_sentences` reads them."""
+    return TaggedCorpus(list(tagged_sentences(iter_lines(path), path, lowercase, delimiter)))
 
 
 @dataclass

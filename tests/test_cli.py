@@ -2,6 +2,7 @@
 
 import io
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from morphtok import artifacts, cli
+from morphtok import artifacts, cli, corpus
 from morphtok.morphology import DEFAULT_POS_MAPPING
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -596,6 +597,15 @@ class TestEncode:
         assert code == 0
         assert capsys.readouterr().out == "port ##as am ##at\n"
 
+    def test_stdin_byte_order_mark_is_dropped(self, files, artifact, capsys, monkeypatch):
+        # only where it starts the input; elsewhere it is a character of a word
+        text = "\ufeffportas amat\n\ufeffamat\n".encode("utf-8")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text)))
+        assert cli.main(["encode", "--artifact", artifact, "--lexicon", files["lexicon"]]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == "port ##as am ##at"
+        assert second != "am ##at"
+
     def test_stdin_streams_line_by_line(self, files, artifact, monkeypatch):
         stdout = io.StringIO()
         written_before_second_line = []
@@ -749,6 +759,52 @@ class TestEncode:
             else:
                 assert len(calls) == distinct < n_tokens
         assert texts[limits[0]] == texts[limits[1]] == texts[limits[2]]
+
+    def test_row_memo_cap_keeps_output(self, files, monkeypatch):
+        artifact = str(files["dir"] / "base.tok")
+        assert cli.main(train_args(files, artifact)) == 0
+        parsed = []  # the word of each tagged row parsed, counted by its escape
+        escape = corpus.escape_delimiter
+
+        def counting_escape(text, delimiter):
+            parsed.append(text)
+            return escape(text, delimiter)
+
+        monkeypatch.setattr(corpus, "escape_delimiter", counting_escape)
+        rng = random.Random(0)
+        syllables = ["por", "ta", "mus", "am", "at", "as"]
+        rows = sorted({"".join(rng.choices(syllables, k=rng.randint(1, 4))) + "\t" + rng.choice(["VERB", "NOUN"])
+                       for _ in range(300)})
+        long_row = "portas" * 200 + "\tNOUN"
+        sentences = [rng.choices(rows, k=rng.randint(1, 8)) for _ in range(400)]
+        sentences[5:5] = [[long_row, "amat\tVERB", long_row]]
+        data = "\n\n".join("\n".join(s) for s in sentences).encode("utf-8") + b"\n"
+        n_rows = sum(map(len, sentences))
+        distinct = len({row for s in sentences for row in s})
+        assert distinct > 100
+        long_size = len(long_row) + len(long_row.split("\t")[0])
+        texts = {}
+        limits = [(corpus.ENCODE_MEMO_CAP, corpus.ENCODE_MEMO_CHARS), (2, corpus.ENCODE_MEMO_CHARS),
+                  (corpus.ENCODE_MEMO_CAP, long_size - 1)]
+        for cap, chars in limits:
+            for module in (corpus, cli):
+                monkeypatch.setattr(module, "ENCODE_MEMO_CAP", cap)
+                monkeypatch.setattr(module, "ENCODE_MEMO_CHARS", chars)
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            parsed.clear()
+            out = files["dir"] / f"enc-{cap}-{chars}.txt"
+            assert cli.main(["encode", "--artifact", artifact, "--tagged", "--output", str(out)]) == 0
+            texts[cap, chars] = out.read_text(encoding="utf-8")
+            if cap == 2:  # only the first two rows are kept; every other row is parsed each time
+                first_two = list(dict.fromkeys(row for s in sentences for row in s))[:2]
+                assert len(parsed) == n_rows - sum(row in first_two for s in sentences for row in s) + 2
+            elif chars < long_size:  # the long row never fits, short ones do until full
+                assert parsed.count("portas" * 200) == 2
+                assert distinct < len(parsed) < n_rows
+            else:
+                assert len(parsed) == distinct
+        assert texts[limits[0]] == texts[limits[1]] == texts[limits[2]]
+        assert len(texts[limits[0]].splitlines()) == len(sentences)
 
     def test_same_word_two_tags_encode_apart(self, tmp_path, capsys):
         artifact = str(tmp_path / "ctx.tok")

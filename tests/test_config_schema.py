@@ -166,6 +166,14 @@ CONTEXTUAL_RUN = ["--algorithm", "wordpiece", "--guidance", "morphpretok-context
                   "--vocab-size", "200"]
 CONTEXTUAL_ENCODING = ("bcbc34c667def069c54599addf393e93c8cfc536bd57911f1e3cccd91fa0fd26", 6709)
 
+# SHA-256 and line count of contextual `presegment` of the tagged corpus, its
+# text and its --stats-output, recorded before the tagged-row reader parsed
+# each distinct row once
+CONTEXTUAL_PRESEGMENT = {
+    "output": ("c48802ab9579b4e63b720a250e2d01274955889e7e7423e364bcadbcfe45f9f4", 6709),
+    "stats": ("cb9beb9d9f28fb9561dbb114e4adf0190e6fa78e14265419cac032633aec6668", 6),
+}
+
 # SHA-256 and line count of `evaluate --format kv` for both golden artifacts,
 # recorded before the report lines were derived from the report's fields
 GOLDEN_KV = {
@@ -263,6 +271,38 @@ def test_golden_contextual_encode_output(tmp_path):
     out = tmp_path / "encoded.txt"
     assert cli.main(["encode", "--artifact", artifact, "--input", str(MINI / "tagged.tsv"), "--tagged",
                      "--lexicon", str(MINI / "lexicon.tsv"), "--output", str(out)]) == 0
+    assert digest_and_lines(out) == CONTEXTUAL_ENCODING
+
+
+def mixed_case_tagged() -> str:
+    """The bundled tagged corpus with every other line's word upper-cased, so
+    rows that differ only in case read as one pair under --lowercase."""
+    lines = (MINI / "tagged.tsv").read_text(encoding="utf-8").split("\n")
+    for i in range(1, len(lines), 2):
+        word, tab, tag = lines[i].partition("\t")
+        lines[i] = word.upper() + tab + tag
+    return "\n".join(lines)
+
+
+def test_golden_contextual_presegment_output(tmp_path):
+    out, stats = tmp_path / "preseg.txt", tmp_path / "preseg.stats"
+    assert cli.main(["presegment", "--mode", "contextual", "--tagged-corpus", str(MINI / "tagged.tsv"),
+                     "--lexicon", str(MINI / "lexicon.tsv"), "--output", str(out),
+                     "--stats-output", str(stats)]) == 0
+    assert digest_and_lines(out) == CONTEXTUAL_PRESEGMENT["output"]
+    assert digest_and_lines(stats) == CONTEXTUAL_PRESEGMENT["stats"]
+
+
+def test_golden_lowercase_tagged_encode_output(tmp_path):
+    artifact = str(tmp_path / "ctx.tok")
+    assert cli.main(["train", *CONTEXTUAL_RUN, "--output", artifact]) == 0
+    mixed = tmp_path / "mixed.tsv"
+    mixed.write_text(mixed_case_tagged(), encoding="utf-8")
+    out = tmp_path / "encoded.txt"
+    assert cli.main(["encode", "--artifact", artifact, "--input", str(mixed), "--tagged", "--lowercase",
+                     "--lexicon", str(MINI / "lexicon.tsv"), "--output", str(out)]) == 0
+    # the bundled corpus is all lower case, so --lowercase gives back its encoding
+    # (recorded so before the tagged-row reader parsed each distinct row once)
     assert digest_and_lines(out) == CONTEXTUAL_ENCODING
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from morphtok import corpus
 from morphtok.corpus import (
     Corpus,
     corpus_sentences,
@@ -36,6 +37,7 @@ DELIMITERS = "@#|.*+?^$()[]{}Ii"
 # lowercase is two characters, a cased delimiter, combining marks, a
 # zero-width space and the escape character
 TRICKY = " \t\x0b\x0c\r\x1c\x85\xa0\u1680\u2000\u2028\u2029\u202f\u205f\u3000ΣσςİI\u0301\u0345\u200b\\"
+BOM = "\ufeff"
 
 
 def write(tmp_path, name, text):
@@ -180,6 +182,13 @@ class TestSharedTypes:
         assert ids.keys() == {("amat", "VERB"), ("rosa", "NOUN"), ("amat", "NOUN")}
         assert all(len(objs) == 1 for objs in ids.values()), ids
 
+    def test_one_tuple_per_tagged_type_across_row_texts(self, tmp_path):
+        # rows that differ in surrounding whitespace, or in case under lowercase
+        path = write(tmp_path, "t.tsv", "amat\tVERB\n amat \tVERB\nAMAT\tVERB\n\namat\tVERB \n")
+        sentences = load_tagged_corpus(path, lowercase=True).sentences
+        assert sentences == [[("amat", "VERB")] * 3, [("amat", "VERB")]]
+        assert len(objects_per_type(sentences)[("amat", "VERB")]) == 1
+
     def test_sample_keeps_shared_tokens(self):
         sampled = sample_sentences(load_corpus(MINI / "corpus.txt"), 0.5, 3)
         assert sampled.n_words > 10_000
@@ -207,6 +216,8 @@ class TestSharedTypes:
 class TestIterLines:
     @given(st.lists(st.sampled_from(FRAGMENTS)).map(b"".join) | st.binary())
     @example(b"")
+    @example(b"\xef\xbb\xbfab\n\xef\xbb\xbfcd\n")
+    @example(b"\xef\xbb\xbfab\n\xffcd\n")
     @example(b"ab\r")
     @example(b"port\xc3\n\xa9as\n")
     @example(b"fine\r\n\xffbad\nlater\n")
@@ -244,6 +255,51 @@ class TestTaggedCorpus:
         path = write(tmp_path, "t.tsv", "arma NOUN\n")
         with pytest.raises(LoaderError, match=r":1:"):
             load_tagged_corpus(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("amat\tVERBS", "unknown UD POS tag: 'VERBS'"),
+        ("amat VERB", "expected 2 tab-separated fields, got 1"),
+        ("\tVERB", "empty word"),
+        ("am at\tVERB", "word contains whitespace: 'am at'"),
+    ])
+    def test_repeated_row_keeps_checks(self, tmp_path, row, message):
+        # a valid row read again is not parsed again, but a bad row after it is judged at its line
+        path = write(tmp_path, "t.tsv", f"amat\tVERB\namat\tVERB\n\n{row}\n")
+        with pytest.raises(LoaderError) as exc:
+            load_tagged_corpus(path)
+        assert str(exc.value) == f"{path}:4: {message}"
+
+    def test_each_distinct_row_parsed_once(self, monkeypatch):
+        # counted by the escape of each parsed row's word
+        escaped = []
+        escape = corpus.escape_delimiter
+
+        def counting_escape(text, delimiter):
+            escaped.append(text)
+            return escape(text, delimiter)
+
+        monkeypatch.setattr(corpus, "escape_delimiter", counting_escape)
+        tagged = load_tagged_corpus(MINI / "tagged.tsv")
+        lines = (MINI / "tagged.tsv").read_text(encoding="utf-8").split("\n")
+        assert tagged.n_words == sum(1 for line in lines if line.strip()) > 40_000
+        assert len(escaped) == len({line for line in lines if line.strip()}) == 376
+
+
+class TestByteOrderMark:
+    # a byte-order mark that starts a file is no text; elsewhere it is a character
+    def test_plain_corpus(self, tmp_path):
+        path = write(tmp_path, "c.txt", BOM + "amat rosa\n" + BOM + "rosa\n")
+        assert load_corpus(path).sentences == [["amat", "rosa"], [BOM + "rosa"]]
+
+    def test_tagged_corpus(self, tmp_path):
+        path = write(tmp_path, "t.tsv", BOM + "amat\tVERB\nrosa\tNOUN\n")
+        assert load_tagged_corpus(path).sentences == [[("amat", "VERB"), ("rosa", "NOUN")]]
+
+    def test_segmented_rows(self, tmp_path):
+        path = write(tmp_path, "g.tsv", BOM + "amat\tVERB\tam@at\nrosa\t-\tros@a\n")
+        gold = load_gold_set(path)
+        assert gold.rejected == []
+        assert [item.word for item in gold.items] == ["amat", "rosa"]
 
 
 class TestLexicon:
