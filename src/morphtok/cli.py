@@ -64,7 +64,8 @@ TRAIN_OPTIONS = {
 
 
 # the input files read for each presegmentation of artifacts.GUIDANCE_MODES,
-# its corpus first; training with morphseed guidance also reads the suffixes
+# its corpus first; training with morphseed guidance also reads the suffixes,
+# and encode and evaluate read only the lexicon and mapping an artifact's mode names
 MODE_INPUTS = {None: ("corpus",), ACONTEXTUAL: ("corpus", "lexicon"),
                CONTEXTUAL: ("tagged_corpus", "lexicon", "pos_mapping")}
 
@@ -284,8 +285,10 @@ def _artifact_lexicon(path, model, loaded: dict):
 
 def cmd_encode(args) -> int:
     model = artifacts.load_tokenizer(args.artifact)
-    lexicon = _artifact_lexicon(args.lexicon, model, {}) if args.lexicon else None
-    mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping else None
+    reads = MODE_INPUTS[artifacts.GUIDANCE_MODES[model.guidance]]
+    _warn_unread(args, reads, f"guidance {model.guidance!r}")
+    lexicon = _artifact_lexicon(args.lexicon, model, {}) if args.lexicon and "lexicon" in reads else None
+    mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping and "pos_mapping" in reads else None
     encoder = artifacts.word_encoder(model, lexicon, mapping, on_warning=_warn)
 
     delimiter = artifacts.text_delimiter(model)
@@ -338,14 +341,17 @@ def cmd_evaluate(args) -> int:
     gold = load_gold_set(args.gold)
     if gold.rejected:
         _warn(f"gold set: skipped {len(gold.rejected)} malformed rows")
-    mapping = load_pos_mapping(args.pos_mapping) if args.pos_mapping else None
 
     reports = []
     names = set()
     lexicons: dict = {}  # delimiter -> lexicon
+    mapping = None
     for path in args.artifact:
         model = artifacts.load_tokenizer(path)
-        lexicon = _artifact_lexicon(args.lexicon, model, lexicons) if args.lexicon else None
+        reads = MODE_INPUTS[artifacts.GUIDANCE_MODES[model.guidance]]
+        lexicon = _artifact_lexicon(args.lexicon, model, lexicons) if args.lexicon and "lexicon" in reads else None
+        if mapping is None and args.pos_mapping and "pos_mapping" in reads:
+            mapping = load_pos_mapping(args.pos_mapping)
         encoder = artifacts.word_encoder(model, lexicon, mapping, on_warning=_warn)
         name = f"{artifacts.model_kind(model)}-{model.guidance}"
         if name in names:

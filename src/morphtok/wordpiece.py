@@ -6,9 +6,11 @@ the highest score
 
     score(a, b) = count(ab) / (count(a) * count(b))
 
-where counts come from the current segmentations of all word types,
-weighted by token frequency. Ties break on pair count, then on the
-lexicographically larger pair, making every run reproducible.
+where counts come from the current segmentations of all distinct
+(morpheme segment, word-initial) units, weighted by token frequency:
+a segment that recurs across words is one unit, trained once.
+Ties break on pair count, then on the lexicographically larger pair,
+making every run reproducible.
 
 The best pair comes off a heap (`heapq`, keyed on the negated score and
 count) instead of a scan over every pair. Its keys are validated
@@ -80,20 +82,6 @@ class WpVocabulary:
         return prefix_trie(self.entries)
 
 
-def _word_units(word: str, freq: int, delimiter: str | None):
-    """Symbol sequences for one word, one unit per morpheme segment."""
-    units = []
-    for k, seg in enumerate(morph_segments(word, delimiter, "train on")):
-        symbols = []
-        for i, ch in enumerate(seg):
-            if k == 0 and i == 0:
-                symbols.append(ch)
-            else:
-                symbols.append(CONTINUATION_PREFIX + ch)
-        units.append((symbols, freq))
-    return units
-
-
 def wp_train(corpus: Corpus, cfg: WpTrainerConfig, *, seed_suffixes=()) -> WpVocabulary:
     """Train a WordPiece vocabulary; each of `seed_suffixes` enters it as a "##" entry.
 
@@ -104,9 +92,13 @@ def wp_train(corpus: Corpus, cfg: WpTrainerConfig, *, seed_suffixes=()) -> WpVoc
     if not word_counts:
         raise ValueError("cannot train on an empty corpus")
 
-    units: list[tuple[list[str], int]] = []
+    segments: Counter = Counter()  # (segment, starts its word) -> frequency
     for word, freq in word_counts.items():
-        units.extend(_word_units(word, freq, cfg.morph_delimiter))
+        for k, seg in enumerate(morph_segments(word, cfg.morph_delimiter, "train on")):
+            segments[seg, not k] += freq
+    # one unit, (symbols, frequency), per key; only a word's first symbol is bare
+    units = [([ch if initial and not i else CONTINUATION_PREFIX + ch for i, ch in enumerate(seg)], freq)
+             for (seg, initial), freq in segments.items()]
 
     vocab = {UNK_TOKEN}
     for symbols, _ in units:

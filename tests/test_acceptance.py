@@ -399,6 +399,26 @@ def test_criterion_7_guidance_trend(trained, mini):
         print(line)
 
 
+def test_criterion_7_strict_order_at_vocab_300(tmp_path, mini):
+    """Below the corpus's 351 word types, where guidance can act, contextual-gold
+    EM orders the four guidance modes strictly, for both algorithms."""
+    em = {}
+    for algo, guidance in CONFIGS:
+        out = tmp_path / f"{algo}-{guidance}.tok"
+        # the later flag overrides COMMON_ARGS' acceptance budget
+        assert cli.main(train_args(algo, guidance, out) + ["--vocab-size", "300"]) == 0
+        encoder = artifacts.word_encoder(
+            artifacts.load_tokenizer(out), lexicon=mini["lexicon"], on_warning=lambda msg: None)
+        em[algo, guidance] = evaluation.evaluate(encoder, mini["gold_ctx"], mode="contextual").exact_match
+    for algo in ("wordpiece", "ulm"):
+        order = [em[algo, guidance] for guidance in GUIDANCES]
+        assert all(a < b for a, b in zip(order, order[1:])), f"{algo}: EM by {GUIDANCES}: {order}"
+    print("criterion 7 (strict order at vocab 300): PASS, contextual > acontextual > "
+          "morphseed > baseline for both algorithms")
+    for (algo, guidance), value in em.items():
+        print(f"  {algo:10s} {guidance:26s} EM {value:.4f}")
+
+
 def test_criterion_8_em_log_likelihood_monotone():
     """EM never decreases the corpus log-likelihood (within 1e-9)."""
     rng = random.Random(808)

@@ -882,19 +882,88 @@ class TestEvaluate:
         assert code == 0
 
     def test_lexicon_loaded_once_per_delimiter(self, files, two_artifacts, monkeypatch):
-        # the pretok artifact's "@" and the baseline's default "@" share one load
+        # the two pretok artifacts' "@" share one load; the baseline reads no lexicon
+        a, b = two_artifacts
+        c = str(files["dir"] / "c.tok")
+        assert cli.main(train_args(files, c, "ulm", "morphpretok-acontextual")) == 0
         loaded = []
         load_lexicon = cli.load_lexicon
         monkeypatch.setattr(cli, "load_lexicon", lambda *a: loaded.append(a) or load_lexicon(*a))
-        a, b = two_artifacts
-        assert cli.main(["evaluate", "--artifact", a, "--artifact", b, "--gold", files["gold"],
-                         "--lexicon", files["lexicon"]]) == 0
+        assert cli.main(["evaluate", "--artifact", a, "--artifact", b, "--artifact", c,
+                         "--gold", files["gold"], "--lexicon", files["lexicon"]]) == 0
         assert loaded == [(files["lexicon"], "@")]
 
     def test_missing_gold_is_input_error(self, files, two_artifacts):
         a, _ = two_artifacts
         code = cli.main(["evaluate", "--artifact", a, "--gold", str(files["dir"] / "no.tsv")])
         assert code == 2
+
+
+class TestArtifactInputs:
+    """`encode` and `evaluate` read --lexicon and --pos-mapping only for an
+    artifact whose guidance presegments with them."""
+
+    @pytest.fixture
+    def bad(self, files):
+        path = files["dir"] / "bad.tsv"
+        path.write_text("x\ty\n", encoding="utf-8")  # neither a lexicon row nor a mapping row
+        return str(path)
+
+    def artifact(self, files, guidance):
+        out = str(files["dir"] / f"{guidance}.tok")
+        extra = ("--tagged-corpus", files["tagged"]) if guidance == "morphpretok-contextual" else ()
+        assert cli.main(train_args(files, out, "wordpiece", guidance, *extra)) == 0
+        return out
+
+    @pytest.mark.parametrize("guidance, unread", [
+        ("baseline", ("--lexicon", "--pos-mapping")),
+        ("morphseed", ("--lexicon", "--pos-mapping")),
+        ("morphpretok-acontextual", ("--pos-mapping",)),
+    ])
+    def test_encode_warns_and_does_not_open_unread_input(self, files, bad, capsys, guidance, unread):
+        args = ["encode", "--artifact", self.artifact(files, guidance), "--input", files["corpus"]]
+        if "--lexicon" not in unread:
+            args += ["--lexicon", files["lexicon"]]
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        expected = capsys.readouterr().out
+        assert cli.main(args + [arg for flag in unread for arg in (flag, bad)]) == 0
+        out, err = capsys.readouterr()
+        assert out == expected
+        for flag in unread:
+            assert f"warning: {flag} is ignored with guidance '{guidance}'" in err
+
+    def test_evaluate_reads_input_only_for_artifacts_that_use_it(self, files, bad, capsys):
+        # one --lexicon serves a mixed comparison, so evaluate does not warn
+        args = ["evaluate", "--gold", files["gold"], "--format", "kv",
+                "--artifact", self.artifact(files, "baseline")]
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        expected = capsys.readouterr().out
+        assert cli.main(args + ["--lexicon", bad, "--pos-mapping", bad]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+        args += ["--artifact", self.artifact(files, "morphpretok-acontextual"), "--lexicon", files["lexicon"]]
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        expected = capsys.readouterr().out
+        assert cli.main(args + ["--pos-mapping", bad]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+    @pytest.mark.parametrize("command", ["encode", "evaluate"])
+    @pytest.mark.parametrize("guidance, flag, message", [
+        ("morphpretok-acontextual", "--lexicon", ": no usable lexicon rows (1 malformed)"),
+        ("morphpretok-contextual", "--pos-mapping", ":1: unknown UD POS tag: 'x'"),
+    ])
+    def test_malformed_input_the_artifact_reads_is_input_error(self, files, bad, capsys, command, guidance,
+                                                                flag, message):
+        inputs = {"--lexicon": files["lexicon"], flag: bad}
+        args = ["--artifact", self.artifact(files, guidance), *(arg for item in inputs.items() for arg in item)]
+        args = ["encode", "--input", files["corpus"], *args] if command == "encode" \
+            else ["evaluate", "--gold", files["gold"], *args]
+        capsys.readouterr()
+        assert cli.main(args) == 2
+        assert f"error: {bad}{message}" in capsys.readouterr().err
 
 
 class TestExitCodes:
