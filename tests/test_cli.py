@@ -957,7 +957,7 @@ class TestArtifactInputs:
     ])
     def test_malformed_input_the_artifact_reads_is_input_error(self, files, bad, capsys, command, guidance,
                                                                 flag, message):
-        inputs = {"--lexicon": files["lexicon"], flag: bad}
+        inputs = {"--lexicon": files["lexicon"], flag: bad}  # flag's file is the malformed one
         args = ["--artifact", self.artifact(files, guidance), *(arg for item in inputs.items() for arg in item)]
         args = ["encode", "--input", files["corpus"], *args] if command == "encode" \
             else ["evaluate", "--gold", files["gold"], *args]

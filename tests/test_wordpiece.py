@@ -99,7 +99,7 @@ class TestTrainOracle:
     @given(training_case())
     @example(([["aaaa", "abab"], ["xabab", "abab"]], WpTrainerConfig(12, 1), ()))
     @example(([["ab@abab", "abab@ab"], ["aaaa@aa"]], WpTrainerConfig(11, 1, "@"), ()))
-    # "ab" starts a word and follows a boundary: two units, one bare "a" first
+    # "ab" both starts a word and follows a boundary: two units, "a ##b" and "##a ##b"
     @example(([["ab@ab", "ab"], ["xab@ab", "ab@x"]], WpTrainerConfig(12, 1, "@"), ()))
     @settings(max_examples=400, deadline=None)
     def test_matches_reference(self, case):
